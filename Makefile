@@ -26,10 +26,11 @@ bench-parallel:
 
 # Steady-state hot-path envelope as machine-readable JSON (BENCH_pr10.json):
 # the precision-tier section (fp32 fused vs split vs fp64 reference train
-# step, raw GEMM/GEMV at both widths, interleaved min-of-N) with its
-# regression gates applied, plus train-step and eval-batch ns/op + allocs/op,
-# the batched-vs-per-sample training comparison at B=32 (train_batched, with
-# its >=1.5x speedup and 0 allocs/op gates), serial vs batched eval speedup,
+# step, raw GEMM/GEMV at both widths, interleaved rounds) with its
+# regression gates applied (medians of per-round ratios), plus train-step and
+# eval-batch ns/op + allocs/op, the batched training core against the same
+# step done one sample at a time at B=32 (train_batched, with its >=1.5x
+# speedup and 0 allocs/op gates), serial vs batched eval speedup,
 # checkpoint save/restore latency, the
 # serving layer under 32-client closed-loop load (throughput + p50/p95/p99),
 # the multi-tenant fleet under 10k-user Zipf load (throughput, eviction and

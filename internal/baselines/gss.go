@@ -36,6 +36,8 @@ type GSS struct {
 	// payload, and memcost already charges them separately.
 	codec    *replay.Int8Codec
 	trainBuf []cl.LatentSample // reusable incoming+replay assembly buffer
+	zsBuf    []*tensor.Tensor  // one-row sketch pass scratch
+	rowBuf   []nn.LossRow
 }
 
 type gssItem struct {
@@ -65,10 +67,12 @@ func (g *GSS) Predict(z *tensor.Tensor) int { return g.head.Predict(z) }
 func (g *GSS) PredictBatch(zs []*tensor.Tensor, out []int) { g.head.PredictBatch(zs, out) }
 
 // gradSketch computes the random-projected gradient of the CE loss with
-// respect to the head's final parameter block for one sample.
+// respect to the head's final parameter block for one sample, from a one-row
+// accumulate-only pass.
 func (g *GSS) gradSketch(s cl.LatentSample) *tensor.Tensor {
 	g.head.ZeroGrad()
-	g.head.AccumulateCE(s.Z, s.Label, 1)
+	g.zsBuf, g.rowBuf = cl.CERows(g.zsBuf[:0], g.rowBuf[:0], []cl.LatentSample{s})
+	g.head.AccumulateRows(g.zsBuf, g.rowBuf)
 	params := g.head.Params()
 	// Use the last weight matrix (largest, most informative block).
 	var last *nn.Param

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"chameleon/internal/cl"
+	"chameleon/internal/nn"
 	"chameleon/internal/tensor"
 )
 
@@ -19,6 +20,8 @@ type EWCPP struct {
 	gamma      float64
 	lastDomain int
 	seen       bool
+	zsBuf      []*tensor.Tensor // reusable row assembly
+	rowBuf     []nn.LossRow
 }
 
 // NewEWCPP creates the EWC++ learner.
@@ -54,9 +57,8 @@ func (e *EWCPP) Observe(b cl.LatentBatch) {
 	e.lastDomain, e.seen = b.Domain, true
 
 	e.head.ZeroGrad()
-	for _, s := range b.Samples {
-		e.head.AccumulateCE(s.Z, s.Label, 1)
-	}
+	e.zsBuf, e.rowBuf = cl.CERows(e.zsBuf[:0], e.rowBuf[:0], b.Samples)
+	e.head.AccumulateRows(e.zsBuf, e.rowBuf)
 	params := e.head.Params()
 	n := float32(len(b.Samples))
 	for i, p := range params {
@@ -86,6 +88,8 @@ type LwF struct {
 	hasTeacher bool
 	lastDomain int
 	seen       bool
+	zsBuf      []*tensor.Tensor
+	rowBuf     []nn.LossRow
 }
 
 // NewLwF creates the LwF learner.
@@ -114,23 +118,32 @@ func (l *LwF) Observe(b cl.LatentBatch) {
 	l.lastDomain, l.seen = b.Domain, true
 
 	// Teacher logits must be computed with the snapshot weights: swap in,
-	// evaluate, swap back.
-	var teacherLogits []*tensor.Tensor
+	// evaluate the whole batch, swap back.
+	zs := l.zsBuf[:0]
+	for _, s := range b.Samples {
+		zs = append(zs, s.Z)
+	}
+	var teacher *tensor.Tensor
 	if l.hasTeacher {
 		current := l.head.Snapshot()
 		l.head.Restore(l.teacher)
-		teacherLogits = make([]*tensor.Tensor, len(b.Samples))
-		for i, s := range b.Samples {
-			teacherLogits[i] = l.head.Logits(s.Z).Clone()
-		}
+		teacher = l.head.LogitsBatch(zs)
 		l.head.Restore(current)
 	}
-	l.head.ZeroGrad()
+	// Rows interleave per sample: CE_i, then λT²·soft_i against the teacher.
+	rows := l.rowBuf[:0]
+	zs = zs[:0]
 	for i, s := range b.Samples {
-		l.head.AccumulateCE(s.Z, s.Label, 1)
-		if teacherLogits != nil {
-			l.head.AccumulateSoft(s.Z, teacherLogits[i], l.cfg.Temperature, l.cfg.Lambda)
+		zs = append(zs, s.Z)
+		rows = append(rows, nn.LossRow{Kind: nn.LossCE, Label: s.Label, Weight: 1})
+		if teacher != nil {
+			c := teacher.Dim(1)
+			zs = append(zs, s.Z)
+			rows = append(rows, nn.LossRow{Kind: nn.LossSoft, Target: teacher.Data()[i*c : (i+1)*c],
+				Temperature: l.cfg.Temperature, Weight: l.cfg.Lambda})
 		}
 	}
-	l.head.Step(float64(len(b.Samples)))
+	l.zsBuf, l.rowBuf = zs, rows
+	l.head.TrainRows(zs, rows, float64(len(b.Samples)))
+	l.head.Workspace().Put(teacher)
 }

@@ -6,6 +6,7 @@ import (
 
 	"chameleon/internal/checkpoint"
 	"chameleon/internal/cl"
+	"chameleon/internal/nn"
 	"chameleon/internal/replay"
 	"chameleon/internal/tensor"
 )
@@ -83,8 +84,11 @@ type DER struct {
 	buf  *replay.Reservoir
 	src  *checkpoint.Source
 	met  observeTimer
-	// drawBuf is the reusable buffer-draw scratch for both replay terms.
+	// drawBuf holds both replay draws back to back; zsBuf and rowBuf are the
+	// reusable row assembly for the single training step.
 	drawBuf []replay.Item
+	zsBuf   []*tensor.Tensor
+	rowBuf  []nn.LossRow
 	// Alpha weighs the MSE logit term; Beta the replay CE term (DER++).
 	Alpha, Beta float64
 }
@@ -120,28 +124,32 @@ func (d *DER) Observe(b cl.LatentBatch) {
 		return
 	}
 	defer d.met.observe(time.Now(), len(b.Samples))
-	d.head.ZeroGrad()
-	count := 0
-	for _, s := range b.Samples {
-		d.head.AccumulateCE(s.Z, s.Label, 1)
-		count++
-	}
+	// One step over incoming CE rows, α·MSE rows against the first draw's
+	// stored logits and β·CE rows on a second draw, averaged over all rows.
+	// Both draws stay live in drawBuf until the step: each decodes into its
+	// own slots of a quantized store.
+	zs, rows := cl.CERows(d.zsBuf[:0], d.rowBuf[:0], b.Samples)
 	d.drawBuf = d.buf.SampleInto(d.drawBuf[:0], d.cfg.ReplaySize)
-	for _, it := range d.drawBuf {
-		d.head.AccumulateMSE(it.Z, it.Logits, d.Alpha)
-		count++
+	first := len(d.drawBuf)
+	d.drawBuf = d.buf.SampleInto(d.drawBuf, d.cfg.ReplaySize)
+	for i, it := range d.drawBuf {
+		zs = append(zs, it.Z)
+		if i < first {
+			rows = append(rows, nn.LossRow{Kind: nn.LossMSE, Target: it.Logits.Data(), Weight: d.Alpha})
+		} else {
+			rows = append(rows, nn.LossRow{Kind: nn.LossCE, Label: it.Label, Weight: d.Beta})
+		}
 	}
-	d.drawBuf = d.buf.SampleInto(d.drawBuf[:0], d.cfg.ReplaySize)
-	for _, it := range d.drawBuf {
-		d.head.AccumulateCE(it.Z, it.Label, d.Beta)
-		count++
-	}
-	d.head.Step(float64(count))
+	d.zsBuf, d.rowBuf = zs, rows
+	d.head.TrainRows(zs, rows, float64(len(rows)))
 	// Insert with the logits the model produces *now* (post-update, as the
 	// reference implementation records the response it trained to).
-	for _, s := range b.Samples {
-		d.buf.Offer(replay.Item{Z: s.Z, Label: s.Label, Logits: d.head.Logits(s.Z).Clone()})
+	logits := d.head.LogitsBatch(zs[:len(b.Samples)])
+	for i, s := range b.Samples {
+		row := logits.Row(i).Clone()
+		d.buf.Offer(replay.Item{Z: s.Z, Label: s.Label, Logits: row})
 	}
+	d.head.Workspace().Put(logits)
 }
 
 // LatentReplay (Pellegrini et al., 2020) stores intermediate activations in a

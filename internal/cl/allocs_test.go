@@ -44,15 +44,13 @@ func TestAllocsTrainStep(t *testing.T) {
 	}
 }
 
-// TestAllocsTrainBatched pins the batched training path explicitly: with
-// BatchTrain forced on, the steady-state step — GAP pack, one GEMM per Dense
-// forward, row-wise cross-entropy, batched backward with the fused update —
-// performs zero heap allocations, and the step really does take the batched
-// path (the counter advances).
+// TestAllocsTrainBatched pins the batched training core explicitly: the
+// steady-state step — GAP pack, one GEMM per Dense forward, row-wise
+// cross-entropy, batched backward with the fused update — performs zero heap
+// allocations, and the step really does take the batched core (the counter
+// advances).
 func TestAllocsTrainBatched(t *testing.T) {
 	h, batch, _ := allocEnv(t)
-	h.BatchTrain = true
-	h.TrainCEOn(batch) // warm the batched-path scratch (label/zs buffers, batch matrix)
 	before := trainStepBatched.Value()
 	got := testing.AllocsPerRun(50, func() { h.TrainCEOn(batch) })
 	if trainStepBatched.Value() == before {
@@ -63,15 +61,16 @@ func TestAllocsTrainBatched(t *testing.T) {
 	}
 }
 
-// TestAllocsTrainPerSample pins the per-sample reference path at the same
-// standard: the fallback must stay allocation-free too.
-func TestAllocsTrainPerSample(t *testing.T) {
+// TestAllocsTrainRows pins the mixed-loss step at the same standard: a
+// DER-shaped TrainRows (incoming CE rows, α·MSE rows against stored logits,
+// β·CE rows) allocates nothing after warm-up.
+func TestAllocsTrainRows(t *testing.T) {
 	h, batch, _ := allocEnv(t)
-	h.BatchTrain = false
-	h.TrainCEOn(batch)
-	got := testing.AllocsPerRun(50, func() { h.TrainCEOn(batch) })
+	zs, rows, denom := derRows(h, batch)
+	h.TrainRows(zs, rows, denom)
+	got := testing.AllocsPerRun(50, func() { h.TrainRows(zs, rows, denom) })
 	if got != 0 {
-		t.Fatalf("per-sample TrainCEOn allocates %.0f times/op, want 0", got)
+		t.Fatalf("DER-shaped TrainRows allocates %.0f times/op, want 0", got)
 	}
 }
 

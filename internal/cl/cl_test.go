@@ -233,45 +233,6 @@ func TestHeadSnapshotRestore(t *testing.T) {
 	}
 }
 
-func TestHeadAccumulateSoftAndMSE(t *testing.T) {
-	set := testEnv(t)
-	h := NewHead(set.Backbone, HeadConfig{LR: 0.05, Seed: 5})
-	z := set.Train[0].Z
-	teacher := h.Logits(z).Clone()
-	teacher.Data()[0] += 2
-	// Distilling toward the teacher must reduce soft loss over steps.
-	var first, last float64
-	for i := 0; i < 20; i++ {
-		h.ZeroGrad()
-		loss := h.AccumulateSoft(z, teacher, 2, 1)
-		h.Step(1)
-		if i == 0 {
-			first = loss
-		}
-		last = loss
-	}
-	if last >= first {
-		t.Fatalf("soft loss did not decrease: %v -> %v", first, last)
-	}
-	// Same for the MSE consistency loss.
-	h2 := NewHead(set.Backbone, HeadConfig{LR: 0.05, Seed: 6})
-	target := h2.Logits(z).Clone()
-	target.Data()[1] += 1
-	first, last = 0, 0
-	for i := 0; i < 20; i++ {
-		h2.ZeroGrad()
-		loss := h2.AccumulateMSE(z, target, 1)
-		h2.Step(1)
-		if i == 0 {
-			first = loss
-		}
-		last = loss
-	}
-	if last >= first {
-		t.Fatalf("mse loss did not decrease: %v -> %v", first, last)
-	}
-}
-
 func TestMultiSeedProducesSpread(t *testing.T) {
 	set := testEnv(t)
 	s := MultiSeed(set, data.StreamOptions{BatchSize: 2}, func(seed int64) Learner {

@@ -12,38 +12,27 @@ import (
 )
 
 // Head wraps a freshly initialised trainable head g(·) with its optimizer and
-// exposes the gradient-accumulation primitives the continual learners share.
-// Every learner owns its own Head; the frozen extractor is shared via
-// LatentSet.
+// exposes the batched training steps the continual learners share. Every
+// learner owns its own Head; the frozen extractor is shared via LatentSet.
 type Head struct {
 	Net *nn.Sequential
 	Opt *nn.SGD
 	// Classes is the logit width.
 	Classes int
-	// gradScratch is the reusable logit-gradient buffer for the batched
-	// cross-entropy path; a Head belongs to exactly one learner (one run), so
-	// reuse is race-free. softScratch additionally holds the softened teacher
-	// distribution for distillation losses.
-	gradScratch *tensor.Tensor
-	softScratch *tensor.Tensor
 	// ws is the head's private tensor pool, threaded through every layer and
-	// the optimizer by NewHead. It makes the steady-state train step and eval
-	// batch allocation-free; hand-built Heads (struct literals in tests) leave
-	// it nil and simply fall back to allocating paths.
+	// the optimizer. It makes the steady-state train step and eval batch
+	// allocation-free. NewHead attaches it; a struct-literal Head gets it on
+	// its first train step and evaluates through allocating paths until then.
 	ws *tensor.Workspace
+	// start is the first layer the batched walk visits: 1 for GAP-first heads,
+	// whose pooling runs inside the packing step, else 0.
+	start int
 	// params caches Net.Params() — the walk allocates, and ZeroGrad/Step run
 	// once per online step.
 	params []*nn.Param
-	// BatchTrain selects the batched training path in TrainCEOn: samples pack
-	// into one [N, D] workspace matrix and each Dense layer runs one GEMM per
-	// pass instead of N GEMV round-trips. NewHead sets it from the package
-	// default (on; see SetBatchTrainDefault); hand-built heads leave it false
-	// and train per sample. Chains the batched protocol cannot express (conv
-	// tails, ragged latents) fall back per sample regardless.
-	BatchTrain bool
-	// labelBuf and zsBuf are reusable packing scratch for the batched path.
-	labelBuf []int
-	zsBuf    []*tensor.Tensor
+	// zsBuf and rowBuf are TrainCEOn's reusable row-assembly scratch.
+	zsBuf  []*tensor.Tensor
+	rowBuf []nn.LossRow
 }
 
 // HeadConfig controls head construction.
@@ -78,15 +67,33 @@ func NewHead(backbone *mobilenet.Model, cfg HeadConfig) *Head {
 	opt := nn.NewSGD(cfg.LR)
 	opt.Momentum = cfg.Momentum
 	opt.WeightDecay = cfg.WeightDecay
-	h := &Head{Net: fresh.Head, Opt: opt, Classes: cfgM.NumClasses, ws: tensor.NewWorkspace(), BatchTrain: BatchTrainDefault()}
-	nn.AttachWorkspace(h.Net, h.ws)
-	opt.SetWorkspace(h.ws)
+	h := &Head{Net: fresh.Head, Opt: opt, Classes: cfgM.NumClasses}
+	h.attach()
 	h.params = h.Net.Params()
 	return h
 }
 
-// Workspace exposes the head's tensor pool (nil for hand-built heads). It is
-// single-owner: only the goroutine driving this head may touch it.
+// attach validates that the chain can train batched and gives the head its
+// private workspace. NewHead calls it; a struct-literal head gets it on its
+// first train step.
+func (h *Head) attach() {
+	if len(h.Net.Layers) > 0 {
+		if _, ok := h.Net.Layers[0].(*nn.GlobalAvgPool2D); ok {
+			h.start = 1
+		}
+	}
+	if !h.Net.SupportsBatchTrain(h.start) {
+		panic(fmt.Sprintf("cl: head %q has a layer without the batched training protocol; "+
+			"conv-tail heads serve the hardware and memory models and cannot be trained", h.Net.Name()))
+	}
+	h.ws = tensor.NewWorkspace()
+	nn.AttachWorkspace(h.Net, h.ws)
+	h.Opt.SetWorkspace(h.ws)
+}
+
+// Workspace exposes the head's tensor pool (nil for a struct-literal head
+// until its first train step). It is single-owner: only the goroutine driving
+// this head may touch it.
 func (h *Head) Workspace() *tensor.Workspace { return h.ws }
 
 // cachedParams returns the parameter list, walking the layer tree only once.
@@ -179,128 +186,72 @@ func (h *Head) ZeroGrad() {
 	}
 }
 
-// ensureGrad returns the shared logit-gradient scratch, sized to n.
-func (h *Head) ensureGrad(n int) *tensor.Tensor {
-	if h.gradScratch == nil || h.gradScratch.Len() != n {
-		h.gradScratch = tensor.New(n)
-	}
-	return h.gradScratch
-}
-
-// AccumulateCE adds the cross-entropy gradient of one (latent, label) pair,
-// scaled by weight, and returns the loss.
-func (h *Head) AccumulateCE(z *tensor.Tensor, label int, weight float64) float64 {
-	logits := h.Net.Forward(z, true)
-	g := h.ensureGrad(logits.Len())
-	loss := nn.CrossEntropyInto(logits, label, g)
-	if weight != 1 {
-		g.Scale(float32(weight))
-	}
-	h.Net.Backward(g)
-	return loss * weight
-}
-
-// AccumulateSoft adds the distillation gradient against teacher logits at the
-// given temperature, scaled by weight·T² (Hinton scaling), and returns the
-// scaled loss.
-func (h *Head) AccumulateSoft(z, teacher *tensor.Tensor, temperature, weight float64) float64 {
-	logits := h.Net.Forward(z, true)
-	g := h.ensureGrad(logits.Len())
-	if h.softScratch == nil || h.softScratch.Len() != logits.Len() {
-		h.softScratch = tensor.New(logits.Len())
-	}
-	loss := nn.SoftCrossEntropyInto(logits, teacher, temperature, g, h.softScratch)
-	s := weight * temperature * temperature
-	g.Scale(float32(s))
-	h.Net.Backward(g)
-	return loss * s
-}
-
-// AccumulateMSE adds the DER logit-consistency gradient, scaled by weight.
-func (h *Head) AccumulateMSE(z, targetLogits *tensor.Tensor, weight float64) float64 {
-	logits := h.Net.Forward(z, true)
-	g := h.ensureGrad(logits.Len())
-	loss := nn.MSELogitsInto(logits, targetLogits, g)
-	if weight != 1 {
-		g.Scale(float32(weight))
-	}
-	h.Net.Backward(g)
-	return loss * weight
-}
-
 // Step applies the optimizer with gradients scaled by 1/denom (denom ≤ 0 is
 // treated as 1), then clears them. With a fused-capable optimizer (NewSGD
 // default, no grad clipping) the scale/update/zero triple runs as one sweep
 // per parameter; results are bit-identical to the split sequence.
 func (h *Head) Step(denom float64) {
-	ps := h.cachedParams()
-	if h.Opt.Fused && h.Opt.GradClip == 0 {
-		inv := float32(1)
-		if denom > 0 && denom != 1 {
-			inv = float32(1 / denom)
-		}
-		for _, p := range ps {
-			h.Opt.FusedStepParam(p, inv)
-		}
-		return
-	}
+	inv := float32(1)
 	if denom > 0 && denom != 1 {
-		inv := float32(1 / denom)
-		for _, p := range ps {
-			p.Grad.Scale(inv)
-		}
+		inv = float32(1 / denom)
 	}
-	for _, p := range ps {
-		h.Opt.StepParam(p)
+	for _, p := range h.cachedParams() {
+		h.Opt.FusedStepParam(p, inv)
 	}
-	h.ZeroGrad()
 }
 
 // TrainCEOn performs one complete SGD step of averaged cross-entropy over the
-// given samples. It is the common "interleave incoming and replay" update.
-// The whole batch shares one scratch logit-gradient tensor, so the hot online
-// loop allocates nothing per sample beyond the forward activations.
+// given samples — the common "interleave incoming and replay" update, and
+// TrainRows' cross-entropy-only call. Returns the mean loss.
 func (h *Head) TrainCEOn(samples []LatentSample) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
-	defer observeTrainStep(time.Now(), len(samples))
+	h.zsBuf, h.rowBuf = CERows(h.zsBuf[:0], h.rowBuf[:0], samples)
+	n := float64(len(samples))
+	return h.TrainRows(h.zsBuf, h.rowBuf, n) / n
+}
+
+// CERows appends samples to zs and rows as weight-1 cross-entropy rows, the
+// plain "learn these labels" part of a row-wise batch.
+func CERows(zs []*tensor.Tensor, rows []nn.LossRow, samples []LatentSample) ([]*tensor.Tensor, []nn.LossRow) {
+	for _, s := range samples {
+		zs = append(zs, s.Z)
+		rows = append(rows, nn.LossRow{Kind: nn.LossCE, Label: s.Label, Weight: 1})
+	}
+	return zs, rows
+}
+
+// TrainRows performs one complete SGD step over a batch whose rows carry
+// their own losses: latent zs[i] is scored by rows[i] (nn.LossRowsInto), the
+// summed gradient is scaled by 1/denom as Step scales it, and the update
+// folds into the batched backward. Returns the summed weighted loss.
+func (h *Head) TrainRows(zs []*tensor.Tensor, rows []nn.LossRow, denom float64) float64 {
+	if len(zs) == 0 {
+		return 0
+	}
+	defer observeTrainStep(time.Now(), len(zs))
+	trainStepBatched.Add(1)
 	h.ZeroGrad()
-	if h.BatchTrain && len(samples) > 1 {
-		if loss, ok := h.trainCEBatched(samples); ok {
-			trainStepBatched.Add(1)
-			return loss
-		}
+	return h.rows(zs, rows, h.Opt, denom)
+}
+
+// AccumulateRows adds the gradient of the same row-wise batch to the
+// parameter gradients without stepping, for learners that read or adjust the
+// gradients before calling Step. Returns the summed weighted loss.
+func (h *Head) AccumulateRows(zs []*tensor.Tensor, rows []nn.LossRow) float64 {
+	if len(zs) == 0 {
+		return 0
 	}
-	var loss float64
-	n := len(samples)
-	fused := h.Opt.Fused && h.Opt.GradClip == 0
-	if fused {
-		trainStepFused.Add(1)
-	} else {
-		trainStepSplit.Add(1)
+	return h.rows(zs, rows, nil, 1)
+}
+
+// rows packs zs and runs the shared training core; a nil opt accumulates.
+func (h *Head) rows(zs []*tensor.Tensor, rows []nn.LossRow, opt *nn.SGD, denom float64) float64 {
+	if h.ws == nil {
+		h.attach()
 	}
-	for i, s := range samples {
-		logits := h.Net.Forward(s.Z, true)
-		g := h.ensureGrad(logits.Len())
-		loss += nn.CrossEntropyInto(logits, s.Label, g)
-		if fused && i == n-1 {
-			// The last sample's backward carries the optimizer update with
-			// it: earlier samples accumulated into the grads as usual, the
-			// final contribution flows straight through the fused kernels.
-			inv := float32(1)
-			if n > 1 {
-				inv = float32(1 / float64(n))
-			}
-			h.Net.BackwardSGD(g, h.Opt, inv)
-		} else {
-			h.Net.Backward(g)
-		}
-	}
-	if !fused {
-		h.Step(float64(n))
-	}
-	return loss / float64(n)
+	return trainRowsOn(h.Net, opt, h.ws, h.pack(zs), h.start, rows, denom)
 }
 
 // Params returns the head's trainable parameters.

@@ -15,13 +15,9 @@ var (
 	headTrainSamples = obs.Default().Counter("head_train_samples_total")
 	headTrainStep    = obs.Default().Histogram("head_train_step_seconds")
 	headPredictBatch = obs.Default().Histogram("head_predict_batch_seconds")
-	// Kernel-tier selection counters: TrainCEOn's choice between the batched
-	// GEMM path, the per-sample fused fold, and the per-sample split step
-	// (GradClip forces the latter) is otherwise silent — these make the active
-	// tier visible in /metrics.
+	// trainStepBatched counts steps through the batched training core
+	// (TrainRows and its TrainCEOn call).
 	trainStepBatched = obs.Default().Counter("train_step_batched_total")
-	trainStepFused   = obs.Default().Counter("train_step_fused_total")
-	trainStepSplit   = obs.Default().Counter("train_step_split_total")
 )
 
 func observeTrainStep(t0 time.Time, samples int) {

@@ -22,14 +22,14 @@ type Ref64 struct {
 	zBuf    *tensor.Tensor64 // widened-latent scratch
 	grad    *tensor.Tensor64 // logit-gradient scratch
 	params  []*nn.ParamOf[float64]
-	// Batched opts the reference tier into the batched training path through
+	// Batched opts the reference tier into the batched training core through
 	// the same serial float64 kernels. Off by default — the per-sample loop is
-	// the auditable reference — and when on, every step is bit-identical to
-	// the per-sample run: each parameter-gradient element accumulates over
-	// samples in ascending stream order either way.
+	// the auditable reference, the only one in the tree — and when on, every
+	// step is bit-identical to the per-sample run: each parameter-gradient
+	// element accumulates over samples in ascending stream order either way.
 	Batched bool
-	// labelBuf is reusable packing scratch for the batched path.
-	labelBuf []int
+	// rowBuf is reusable loss-row scratch for the batched path.
+	rowBuf []nn.LossRowOf[float64]
 }
 
 // NewRef64 widens a fast-tier head into an independent float64 learner. The
@@ -54,7 +54,9 @@ func NewRef64(h *Head) (*Ref64, error) {
 	// update path: it is the measuring stick, not the product, so it favours
 	// the straightforward kernels. Since split and fused are bit-identical
 	// (TestFusedStepBitIdentity*), this also makes the fp32↔fp64 parity test a
-	// cross-check of the fused fold rather than fused-vs-fused.
+	// cross-check of the fused fold rather than fused-vs-fused. The
+	// per-sample loop in Observe always steps split; the Batched path honours
+	// this setting.
 	opt.Fused = false
 	r := &Ref64{Net: net, Opt: opt, Classes: h.Classes, ws: tensor.NewWorkspaceOf[float64]()}
 	nn.AttachWorkspaceOf(r.Net, r.ws)
@@ -79,8 +81,8 @@ func (r *Ref64) widen(z *tensor.Tensor) *tensor.Tensor64 {
 }
 
 // Observe implements Learner: one averaged cross-entropy step over the batch
-// through the double-precision kernels (the split path unless Opt.Fused is
-// re-enabled).
+// through the double-precision kernels — per sample, then one split update,
+// unless Batched.
 func (r *Ref64) Observe(b LatentBatch) {
 	n := len(b.Samples)
 	if n == 0 {
@@ -89,34 +91,25 @@ func (r *Ref64) Observe(b LatentBatch) {
 	for _, p := range r.params {
 		p.ZeroGrad()
 	}
-	if r.Batched && n > 1 && r.observeBatched(b.Samples) {
+	if r.Batched {
+		r.observeBatched(b.Samples)
 		return
 	}
-	fused := r.Opt.Fused && r.Opt.GradClip == 0
-	inv := float64(1)
-	if n > 1 {
-		inv = 1 / float64(n)
-	}
-	for i, s := range b.Samples {
+	for _, s := range b.Samples {
 		logits := r.Net.Forward(r.widen(s.Z), true)
 		if r.grad == nil || r.grad.Len() != logits.Len() {
 			r.grad = tensor.NewOf[float64](logits.Len())
 		}
 		nn.CrossEntropyInto(logits, s.Label, r.grad)
-		if fused && i == n-1 {
-			r.Net.BackwardSGD(r.grad, r.Opt, inv)
-		} else {
-			r.Net.Backward(r.grad)
-		}
+		r.Net.Backward(r.grad)
 	}
-	if !fused {
-		for _, p := range r.params {
-			if inv != 1 {
-				p.Grad.Scale(inv)
-			}
-			r.Opt.StepParam(p)
-			p.ZeroGrad()
+	inv := 1 / float64(n)
+	for _, p := range r.params {
+		if n > 1 {
+			p.Grad.Scale(inv)
 		}
+		r.Opt.StepParam(p)
+		p.ZeroGrad()
 	}
 }
 

@@ -1,163 +1,71 @@
 package cl
 
 import (
-	"sync/atomic"
+	"fmt"
 
 	"chameleon/internal/nn"
 	"chameleon/internal/tensor"
 )
 
-// batchTrainDefault controls whether freshly built Heads take the batched
-// training path (one GEMM per Dense over the whole replay batch) when a step
-// has more than one sample. On by default — the per-sample loop remains as
-// the reference and as the fallback for chains the batched protocol cannot
-// express. Atomic because fleet servers construct learners on shard
-// goroutines after the CLI layer flips it once at startup.
-var batchTrainDefault atomic.Bool
-
-func init() { batchTrainDefault.Store(true) }
-
-// SetBatchTrainDefault flips the default training path for Heads built after
-// the call (the -batch-train CLI flag lands here).
-func SetBatchTrainDefault(on bool) { batchTrainDefault.Store(on) }
-
-// BatchTrainDefault reports the current default.
-func BatchTrainDefault() bool { return batchTrainDefault.Load() }
-
-// trainCEBatchedOn is the tier-generic core of the batched cross-entropy
-// step, shared by the fp32 Head and the fp64 Ref64 reference learner: one
-// batched forward from layer start over the packed [N, D] matrix x (consumed),
-// the row-wise cross-entropy computed in place on the logit matrix, and the
-// batched backward with the SGD update folded in where the optimizer allows.
-// Returns the mean loss. The caller must have zeroed the parameter gradients
-// (matching the per-sample path's ZeroGrad) and validated the chain via
-// SupportsBatchTrain.
-func trainCEBatchedOn[T tensor.Float](net *nn.SequentialOf[T], opt *nn.SGDOf[T], ws *tensor.WorkspaceOf[T], x *tensor.Of[T], start int, labels []int) float64 {
-	n := len(labels)
+// trainRowsOn is the tier-generic training core, shared by the fp32 Head and
+// the fp64 Ref64 reference learner: one batched forward from layer start over
+// the packed [N, D] matrix x (consumed), the row-wise losses computed in place
+// on the logit matrix, and the batched backward with the SGD update folded in
+// where the optimizer allows it — the summed gradient scaled by 1/denom
+// (denom ≤ 0 is treated as 1, as in Head.Step). A nil opt only accumulates
+// the parameter gradients. Returns the summed weighted loss. The caller must
+// have zeroed the parameter gradients if it wants a fresh step, and the chain
+// must pass SupportsBatchTrain(start).
+func trainRowsOn[T tensor.Float](net *nn.SequentialOf[T], opt *nn.SGDOf[T], ws *tensor.WorkspaceOf[T], x *tensor.Of[T], start int, rows []nn.LossRowOf[T], denom float64) float64 {
 	logits := net.ForwardBatchTrain(x, start, ws)
-	loss := nn.CrossEntropyRowsInto(logits, labels, logits)
+	loss := nn.LossRowsInto(logits, rows, logits, ws)
 	inv := T(1)
-	if n > 1 {
-		inv = T(1 / float64(n))
+	if denom > 0 && denom != 1 {
+		inv = T(1 / denom)
 	}
 	net.BackwardSGDBatchFrom(logits, start, opt, inv, ws)
-	return loss / float64(n)
+	return loss
 }
 
-// trainCEBatched attempts the batched training step. It reports false — and
-// touches nothing — when the head's chain cannot take it: no workspace
-// (hand-built heads), conv-tail heads, or ragged sample shapes that cannot
-// pack into one matrix. The caller falls back to the per-sample loop, which
-// handles every chain.
-func (h *Head) trainCEBatched(samples []LatentSample) (float64, bool) {
-	n := len(samples)
-	layers := h.Net.Layers
-	if h.ws == nil || len(layers) == 0 {
-		return 0, false
-	}
-	start := 0
-	gap := false
-	if _, ok := layers[0].(*nn.GlobalAvgPool2D); ok && samples[0].Z.NDim() == 3 {
-		c := samples[0].Z.Dim(0)
-		for _, s := range samples {
-			if s.Z.NDim() != 3 || s.Z.Dim(0) != c {
-				return 0, false
-			}
-		}
-		gap = true
-		start = 1
-	} else {
-		if samples[0].Z.NDim() != 1 {
-			return 0, false
-		}
-		d := samples[0].Z.Len()
-		for _, s := range samples {
-			if s.Z.NDim() != 1 || s.Z.Len() != d {
-				return 0, false
-			}
-		}
-	}
-	if !h.Net.SupportsBatchTrain(start) {
-		return 0, false
-	}
-	if cap(h.labelBuf) < n {
-		h.labelBuf = make([]int, n)
-	}
-	labels := h.labelBuf[:n]
-	for i, s := range samples {
-		labels[i] = s.Label
-	}
-	var x *tensor.Tensor
-	if gap {
-		// GAP-first heads pack through the pooling kernel straight into the
-		// batch matrix; the parameter-free GAP layer is then skipped entirely
-		// (forward and backward) — its per-sample broadcast backward is pure
-		// overhead the batched path does not pay.
-		c := samples[0].Z.Dim(0)
-		if cap(h.zsBuf) < n {
-			h.zsBuf = make([]*tensor.Tensor, n)
-		}
-		zs := h.zsBuf[:n]
-		for i, s := range samples {
-			zs[i] = s.Z
-		}
-		x = h.ws.Get(n, c)
+// pack lays zs out as the rows of one workspace matrix. GAP-first heads pool
+// each [C,H,W] latent straight into its row (the parameter-free GAP layer is
+// then skipped, forward and backward); every other head takes flat rows.
+// Latents that cannot share one matrix panic, like every other nn shape
+// check.
+func (h *Head) pack(zs []*tensor.Tensor) *tensor.Tensor {
+	if h.start == 1 {
+		x := h.ws.Get(len(zs), zs[0].Dim(0))
 		tensor.GlobalAvgPoolRowsInto(x, zs)
-	} else {
-		d := samples[0].Z.Len()
-		x = h.ws.Get(n, d)
-		xd := x.Data()
-		for i, s := range samples {
-			copy(xd[i*d:(i+1)*d], s.Z.Data())
-		}
+		return x
 	}
-	return trainCEBatchedOn(h.Net, h.Opt, h.ws, x, start, labels), true
+	d := zs[0].Len()
+	x := h.ws.Get(len(zs), d)
+	xd := x.Data()
+	for i, z := range zs {
+		if z.Len() != d {
+			panic(fmt.Sprintf("cl: latent %d has %d values, the batch rows have %d", i, z.Len(), d))
+		}
+		copy(xd[i*d:(i+1)*d], z.Data())
+	}
+	return x
 }
 
-// observeBatched is the reference tier's batched step: the same driver as the
+// observeBatched is the reference tier's batched step: the same core as the
 // fast tier over float64 kernels, with each latent widened into its row of
-// the batch matrix. Reports false for chains the batched protocol cannot
-// express; the caller falls back to the per-sample reference loop.
-func (r *Ref64) observeBatched(samples []LatentSample) bool {
+// the batch matrix.
+func (r *Ref64) observeBatched(samples []LatentSample) {
 	n := len(samples)
-	layers := r.Net.Layers
-	if len(layers) == 0 {
-		return false
-	}
 	start := 0
-	gap := false
-	if _, ok := layers[0].(*nn.GlobalAvgPool2DOf[float64]); ok && samples[0].Z.NDim() == 3 {
-		c := samples[0].Z.Dim(0)
-		for _, s := range samples {
-			if s.Z.NDim() != 3 || s.Z.Dim(0) != c {
-				return false
-			}
-		}
-		gap = true
+	if _, ok := r.Net.Layers[0].(*nn.GlobalAvgPool2DOf[float64]); ok {
 		start = 1
-	} else {
-		if samples[0].Z.NDim() != 1 {
-			return false
-		}
-		d := samples[0].Z.Len()
-		for _, s := range samples {
-			if s.Z.NDim() != 1 || s.Z.Len() != d {
-				return false
-			}
-		}
 	}
-	if !r.Net.SupportsBatchTrain(start) {
-		return false
+	rows := r.rowBuf[:0]
+	for _, s := range samples {
+		rows = append(rows, nn.LossRowOf[float64]{Kind: nn.LossCE, Label: s.Label, Weight: 1})
 	}
-	if cap(r.labelBuf) < n {
-		r.labelBuf = make([]int, n)
-	}
-	labels := r.labelBuf[:n]
-	for i, s := range samples {
-		labels[i] = s.Label
-	}
+	r.rowBuf = rows
 	var x *tensor.Tensor64
-	if gap {
+	if start == 1 {
 		// Widen each latent and pool it into its row with the exact serial
 		// loop of GlobalAvgPoolInto — ascending-element sums, bit-identical to
 		// the per-sample GAP forward on the widened tensor.
@@ -165,6 +73,9 @@ func (r *Ref64) observeBatched(samples []LatentSample) bool {
 		x = r.ws.Get(n, c)
 		xd := x.Data()
 		for i, s := range samples {
+			if s.Z.NDim() != 3 || s.Z.Dim(0) != c {
+				panic(fmt.Sprintf("cl: latent %d has shape %v, want [%d,H,W]", i, s.Z.Shape(), c))
+			}
 			zd := r.widen(s.Z).Data()
 			hh, ww := s.Z.Dim(1), s.Z.Dim(2)
 			inv := 1 / float64(hh*ww)
@@ -182,13 +93,14 @@ func (r *Ref64) observeBatched(samples []LatentSample) bool {
 		x = r.ws.Get(n, d)
 		xd := x.Data()
 		for i, s := range samples {
-			zd := s.Z.Data()
+			if s.Z.Len() != d {
+				panic(fmt.Sprintf("cl: latent %d has %d values, the batch rows have %d", i, s.Z.Len(), d))
+			}
 			row := xd[i*d : (i+1)*d]
-			for j, v := range zd {
+			for j, v := range s.Z.Data() {
 				row[j] = float64(v)
 			}
 		}
 	}
-	trainCEBatchedOn(r.Net, r.Opt, r.ws, x, start, labels)
-	return true
+	trainRowsOn(r.Net, r.Opt, r.ws, x, start, rows, float64(n))
 }

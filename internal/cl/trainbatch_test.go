@@ -1,10 +1,11 @@
 package cl
 
 import (
+	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
+	"chameleon/internal/mobilenet"
 	"chameleon/internal/nn"
 	"chameleon/internal/parallel"
 	"chameleon/internal/tensor"
@@ -53,12 +54,59 @@ func paramsEqual(a, b *Head) bool {
 	return true
 }
 
+// perSampleRows is the per-sample reference for the batched training core:
+// one train-mode Forward per row, the row's 1-D loss kernel, the weight
+// applied as LossRowsInto documents it (CE and MSE rows scale by Weight when
+// it is not 1, soft rows always by Weight·T²) and one Backward, accumulating
+// into the parameter gradients. Returns the summed weighted loss.
+func perSampleRows[T tensor.Float](net *nn.SequentialOf[T], zs []*tensor.Of[T], rows []nn.LossRowOf[T]) float64 {
+	var loss float64
+	for i, z := range zs {
+		logits := net.Forward(z, true)
+		g := tensor.NewOf[T](logits.Len())
+		row := rows[i]
+		switch row.Kind {
+		case nn.LossCE:
+			l := nn.CrossEntropyInto(logits, row.Label, g)
+			if row.Weight != 1 {
+				g.Scale(T(row.Weight))
+			}
+			loss += l * row.Weight
+		case nn.LossSoft:
+			target := tensor.FromSlice(row.Target, len(row.Target))
+			l := nn.SoftCrossEntropyInto(logits, target, row.Temperature, g, tensor.NewOf[T](logits.Len()))
+			s := row.Weight * row.Temperature * row.Temperature
+			g.Scale(T(s))
+			loss += l * s
+		case nn.LossMSE:
+			l := nn.MSELogitsInto(logits, tensor.FromSlice(row.Target, len(row.Target)), g)
+			if row.Weight != 1 {
+				g.Scale(T(row.Weight))
+			}
+			loss += l * row.Weight
+		}
+		net.Backward(g)
+	}
+	return loss
+}
+
+// perSampleCE is the per-sample reference for TrainCEOn: Forward,
+// CrossEntropyInto and Backward per sample, then one Head.Step over the
+// accumulated gradient. Returns the mean loss.
+func perSampleCE(h *Head, samples []LatentSample) float64 {
+	h.ZeroGrad()
+	zs, rows := CERows(nil, nil, samples)
+	loss := perSampleRows(h.Net, zs, rows)
+	h.Step(float64(len(samples)))
+	return loss / float64(len(samples))
+}
+
 // TestTrainBatchedMatchesPerSampleFP32 is the fast-tier equivalence contract:
-// the batched training path must track the per-sample reference path within
+// the batched training core must track the per-sample reference loop within
 // fp32 rounding tolerance (the batched forward GEMM accumulates through a
 // strictly serial chain while the per-sample GEMV reassociates four-way, so
 // bit-identity is not expected — closeness and matching decisions are), across
-// optimizer configurations and worker counts.
+// optimizer configurations, worker counts and chunk sizes down to B=1.
 func TestTrainBatchedMatchesPerSampleFP32(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	set := testEnv(t)
@@ -74,61 +122,99 @@ func TestTrainBatchedMatchesPerSampleFP32(t *testing.T) {
 	}
 	for _, w := range []int{1, 8} {
 		parallel.SetWorkers(w)
-		for _, tc := range configs {
-			hb := NewHead(set.Backbone, tc.cfg)
-			hs := NewHead(set.Backbone, tc.cfg)
-			hb.BatchTrain, hs.BatchTrain = true, false
-			hb.Opt.GradClip = tc.gradClip
-			hs.Opt.GradClip = tc.gradClip
-			before := trainStepBatched.Value()
-			for step, batch := range trainChunks(set.Train, 8) {
-				lb := hb.TrainCEOn(batch)
-				ls := hs.TrainCEOn(batch)
-				if d := math.Abs(lb - ls); d > 1e-3 {
-					t.Fatalf("workers=%d %s step %d: batched loss %.6f vs per-sample %.6f (|Δ| %.2e)",
-						w, tc.name, step, lb, ls, d)
+		for _, b := range []int{8, 1} {
+			for _, tc := range configs {
+				hb := NewHead(set.Backbone, tc.cfg)
+				hs := NewHead(set.Backbone, tc.cfg)
+				hb.Opt.GradClip = tc.gradClip
+				hs.Opt.GradClip = tc.gradClip
+				before := trainStepBatched.Value()
+				for step, batch := range trainChunks(set.Train, b) {
+					lb := hb.TrainCEOn(batch)
+					ls := perSampleCE(hs, batch)
+					if d := math.Abs(lb - ls); d > 1e-3 {
+						t.Fatalf("workers=%d B=%d %s step %d: batched loss %.6f vs per-sample %.6f (|Δ| %.2e)",
+							w, b, tc.name, step, lb, ls, d)
+					}
 				}
-			}
-			if trainStepBatched.Value() == before {
-				t.Fatalf("workers=%d %s: batched path never engaged", w, tc.name)
-			}
-			if d := maxParamDiff(hb, hs); d > 5e-3 {
-				t.Errorf("workers=%d %s: max param diff %.2e after training", w, tc.name, d)
-			}
-			flips := 0
-			for _, s := range set.Test {
-				if hb.Predict(s.Z) != hs.Predict(s.Z) {
-					flips++
+				if trainStepBatched.Value() == before {
+					t.Fatalf("workers=%d B=%d %s: batched path never engaged", w, b, tc.name)
 				}
-			}
-			if flips > 1 {
-				t.Errorf("workers=%d %s: %d/%d test predictions differ between paths",
-					w, tc.name, flips, len(set.Test))
+				requireHeadsClose(t, set, hb, hs, fmt.Sprintf("workers=%d B=%d %s", w, b, tc.name))
 			}
 		}
 	}
 }
 
-// TestTrainBatchedSingleSampleBitIdentical pins the B=1 contract: a one-sample
-// step always takes the per-sample path, so a batched head and a per-sample
-// head stay bit-identical through it.
-func TestTrainBatchedSingleSampleBitIdentical(t *testing.T) {
-	set := testEnv(t)
-	hb := NewHead(set.Backbone, HeadConfig{Seed: 4})
-	hs := NewHead(set.Backbone, HeadConfig{Seed: 4})
-	hb.BatchTrain, hs.BatchTrain = true, false
-	before := trainStepBatched.Value()
-	for _, s := range set.Train[:8] {
-		one := []LatentSample{s}
-		if lb, ls := hb.TrainCEOn(one), hs.TrainCEOn(one); lb != ls {
-			t.Fatalf("B=1 losses diverge: %v vs %v", lb, ls)
+// requireHeadsClose applies the fast-tier tolerance: parameters within 5e-3
+// and at most one test prediction flipped.
+func requireHeadsClose(t *testing.T, set *LatentSet, hb, hs *Head, name string) {
+	t.Helper()
+	if d := maxParamDiff(hb, hs); d > 5e-3 {
+		t.Errorf("%s: max param diff %.2e after training", name, d)
+	}
+	flips := 0
+	for _, s := range set.Test {
+		if hb.Predict(s.Z) != hs.Predict(s.Z) {
+			flips++
 		}
 	}
-	if trainStepBatched.Value() != before {
-		t.Fatal("B=1 steps took the batched path")
+	if flips > 1 {
+		t.Errorf("%s: %d/%d test predictions differ between paths", name, flips, len(set.Test))
 	}
-	if !paramsEqual(hb, hs) {
-		t.Fatal("B=1 training diverged bitwise between batched and per-sample heads")
+}
+
+// TestTrainBatchedSingleSampleBitIdentical pins single-sample (B=1) steps,
+// which now take the batched core like any other batch size. In fp64 a B=1
+// batched step must land bit-identical to the per-sample reference loop (no
+// fp32 GEMV reassociation to excuse a difference); in fp32 a B=1 step must be
+// bit-identical at every worker count, since a one-row batch has nothing to
+// split across workers.
+func TestTrainBatchedSingleSampleBitIdentical(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	set := testEnv(t)
+	for _, w := range []int{1, 8} {
+		parallel.SetWorkers(w)
+		h := NewHead(set.Backbone, HeadConfig{Seed: 4, Momentum: 0.9})
+		serial, err := NewRef64(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batched, err := NewRef64(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batched.Batched = true
+		for i, s := range set.Train[:16] {
+			one := LatentBatch{Samples: []LatentSample{s}}
+			serial.Observe(one)
+			batched.Observe(one)
+			if !ref64ParamsEqual(serial, batched) {
+				t.Fatalf("workers=%d: fp64 B=1 step %d diverges from the per-sample loop", w, i)
+			}
+		}
+	}
+
+	heads := make([]*Head, 2)
+	losses := make([][]float64, 2)
+	for k, w := range []int{1, 8} {
+		parallel.SetWorkers(w)
+		heads[k] = NewHead(set.Backbone, HeadConfig{Seed: 4})
+		before := trainStepBatched.Value()
+		for _, s := range set.Train[:16] {
+			losses[k] = append(losses[k], heads[k].TrainCEOn([]LatentSample{s}))
+		}
+		if got := trainStepBatched.Value() - before; got != 16 {
+			t.Fatalf("workers=%d: %d of 16 B=1 steps took the batched core", w, got)
+		}
+	}
+	for i := range losses[0] {
+		if losses[0][i] != losses[1][i] {
+			t.Fatalf("B=1 step %d loss differs between workers 1 and 8: %v vs %v", i, losses[0][i], losses[1][i])
+		}
+	}
+	if !paramsEqual(heads[0], heads[1]) {
+		t.Fatal("B=1 training diverged bitwise between workers 1 and 8")
 	}
 }
 
@@ -139,7 +225,6 @@ func TestTrainBatchedEmptyAndRagged(t *testing.T) {
 	set := testEnv(t)
 	hb := NewHead(set.Backbone, HeadConfig{Seed: 6})
 	hs := NewHead(set.Backbone, HeadConfig{Seed: 6})
-	hb.BatchTrain, hs.BatchTrain = true, false
 	if loss := hb.TrainCEOn(nil); loss != 0 {
 		t.Fatalf("empty batch loss = %v, want 0", loss)
 	}
@@ -160,7 +245,7 @@ func TestTrainBatchedEmptyAndRagged(t *testing.T) {
 	}
 	before := trainStepBatched.Value()
 	lb := hb.TrainCEOn(ragged)
-	ls := hs.TrainCEOn(ragged)
+	ls := perSampleCE(hs, ragged)
 	if trainStepBatched.Value() == before {
 		t.Fatal("ragged-spatial batch did not take the batched path")
 	}
@@ -172,39 +257,35 @@ func TestTrainBatchedEmptyAndRagged(t *testing.T) {
 	}
 }
 
-// TestTrainBatchedHandBuiltHeadFallsBack pins the nil-workspace fallback: a
-// struct-literal head has no tensor pool, so the batched path must decline and
-// the per-sample loop must produce bit-identical results to an explicit
-// per-sample twin.
-func TestTrainBatchedHandBuiltHeadFallsBack(t *testing.T) {
-	build := func() *Head {
-		rng := rand.New(rand.NewSource(42))
-		net := nn.NewSequential("head",
-			nn.NewDense("fc1", 6, 8, rng), nn.NewReLU(), nn.NewDense("fc2", 8, 3, rng))
-		return &Head{Net: net, Opt: nn.NewSGD(0.1), Classes: 3}
+// TestTrainBatchedStructLiteralHead pins the lazy workspace: a struct-literal
+// head (no workspace until its first train step) and a NewHead twin built from
+// the same seed must land bit-identical.
+func TestTrainBatchedStructLiteralHead(t *testing.T) {
+	set := testEnv(t)
+	cfg := HeadConfig{LR: 0.05, Momentum: 0.5, Seed: 42}
+	twin := NewHead(set.Backbone, cfg)
+	mcfg := set.Backbone.Cfg
+	mcfg.Seed = cfg.Seed
+	fresh, err := mobilenet.New(mcfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	hb, hs := build(), build()
-	hb.BatchTrain, hs.BatchTrain = true, false
-	rng := rand.New(rand.NewSource(7))
-	var samples []LatentSample
-	for i := 0; i < 12; i++ {
-		z := tensor.New(6)
-		for j := range z.Data() {
-			z.Data()[j] = rng.Float32()
-		}
-		samples = append(samples, LatentSample{Z: z, Label: i % 3})
+	opt := nn.NewSGD(cfg.LR)
+	opt.Momentum = cfg.Momentum
+	lit := &Head{Net: fresh.Head, Opt: opt, Classes: mcfg.NumClasses}
+	if lit.Workspace() != nil {
+		t.Fatal("struct-literal head has a workspace before training")
 	}
-	before := trainStepBatched.Value()
-	for _, batch := range trainChunks(samples, 4) {
-		if lb, ls := hb.TrainCEOn(batch), hs.TrainCEOn(batch); lb != ls {
-			t.Fatalf("hand-built head losses diverge: %v vs %v", lb, ls)
+	for _, batch := range trainChunks(set.Train, 4) {
+		if ll, lt := lit.TrainCEOn(batch), twin.TrainCEOn(batch); ll != lt {
+			t.Fatalf("struct-literal head loss %v vs NewHead twin %v", ll, lt)
 		}
 	}
-	if trainStepBatched.Value() != before {
-		t.Fatal("workspace-less head took the batched path")
+	if lit.Workspace() == nil {
+		t.Fatal("struct-literal head never got its workspace")
 	}
-	if !paramsEqual(hb, hs) {
-		t.Fatal("hand-built fallback diverged from the per-sample head")
+	if !paramsEqual(lit, twin) {
+		t.Fatal("struct-literal head diverged from its NewHead twin")
 	}
 }
 
@@ -214,7 +295,6 @@ func TestTrainBatchedHandBuiltHeadFallsBack(t *testing.T) {
 func TestTrainBatchedCheckpointResume(t *testing.T) {
 	set := testEnv(t)
 	a := NewHead(set.Backbone, HeadConfig{Seed: 17, Momentum: 0.5})
-	a.BatchTrain = true
 	batches := trainChunks(set.Train, 8)
 	for _, b := range batches[:2] {
 		a.TrainCEOn(b)
@@ -224,7 +304,6 @@ func TestTrainBatchedCheckpointResume(t *testing.T) {
 		a.TrainCEOn(b)
 	}
 	resumed := NewHead(set.Backbone, HeadConfig{Seed: 17, Momentum: 0.5})
-	resumed.BatchTrain = true
 	if err := resumed.SetState(snap); err != nil {
 		t.Fatal(err)
 	}

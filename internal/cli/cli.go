@@ -51,10 +51,9 @@ type Perf struct {
 	// path uses; "fp64" is the reference tier (double-precision training to
 	// bound fp32 rounding error; finetune only, see cl.Ref64).
 	Precision string
-	// BatchTrain selects the batched training path: heads pack each training
-	// step into one matrix and run one GEMM per Dense layer instead of a
-	// per-sample matvec loop. Off restores the serial per-sample reference
-	// path (see cl.SetBatchTrainDefault).
+	// BatchTrain is ignored: every head trains through the batched core.
+	//
+	// Deprecated: kept so existing Perf literals still compile.
 	BatchTrain bool
 }
 
@@ -63,7 +62,6 @@ func (p *Perf) Bind(fs *flag.FlagSet) {
 	fs.IntVar(&p.Workers, "workers", 0, "worker-pool size for parallel kernels and experiment fan-out (0 = GOMAXPROCS)")
 	fs.StringVar(&p.MetricsAddr, "metrics-addr", "", "serve live metrics on this address: Prometheus text on /metrics, expvar JSON on /vars and /debug/vars ('' disables)")
 	fs.StringVar(&p.Precision, "precision", PrecisionFP32, "kernel precision tier: fp32 (fast, default) | fp64 (reference; finetune only)")
-	fs.BoolVar(&p.BatchTrain, "batch-train", true, "train heads batched (one GEMM per Dense over the whole step); false restores the per-sample reference path")
 }
 
 // Validate checks the precision tier name.
@@ -80,7 +78,6 @@ func (p Perf) Validate() error {
 // returned stop function closes the listener and is always non-nil.
 func (p Perf) Start(logf func(string, ...any)) (stop func(), err error) {
 	parallel.SetWorkers(p.Workers)
-	cl.SetBatchTrainDefault(p.BatchTrain)
 	if p.MetricsAddr == "" {
 		return func() {}, nil
 	}

@@ -56,6 +56,9 @@ func TestLogRepairsCorruptCheckpoint(t *testing.T) {
 	}
 	// A second user evicts u1 (hot set of one) to its checkpoint file.
 	observeLat(t, f, "u2", 9)
+	// Eviction runs after the triggering response is sent; a follow-up
+	// request on the same (single-writer) shard synchronises with it.
+	predict(t, f, "u2")
 	path := f.userPath("u1")
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("u1 was not evicted: %v", err)

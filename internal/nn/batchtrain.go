@@ -34,10 +34,11 @@ type TrainBatchLayerOf[T tensor.Float] interface {
 	// the layer may skip computing it and return nil — for Dense that deletes
 	// an entire GEMM. Parameter updates are unaffected either way.
 	BackwardBatch(grad *tensor.Of[T], needInput bool, ws *tensor.WorkspaceOf[T]) *tensor.Of[T]
-	// BackwardSGDBatch is BackwardBatch with the SGD update folded in, the
-	// batched extension of FusedLayer: parameters step the moment the batch's
-	// full gradient is known. Callers must check opt.Fused && opt.GradClip ==
-	// 0 first; implementations fall back to BackwardBatch + split stepping
+	// BackwardSGDBatch is BackwardBatch with the SGD update folded in:
+	// parameters step the moment the batch's full gradient is known, in the
+	// same per-element expression sequence as the split Scale + StepParam +
+	// ZeroGrad update. Callers must check opt.Fused && opt.GradClip == 0
+	// first; implementations fall back to BackwardBatch + split stepping
 	// otherwise. The needInput contract matches BackwardBatch.
 	BackwardSGDBatch(grad *tensor.Of[T], opt *SGDOf[T], invScale T, needInput bool, ws *tensor.WorkspaceOf[T]) *tensor.Of[T]
 }
@@ -48,7 +49,7 @@ type TrainBatchLayer = TrainBatchLayerOf[float32]
 // SupportsBatchTrain reports whether every layer from start onward implements
 // the batched training protocol, i.e. whether ForwardBatchTrain /
 // BackwardSGDBatchFrom may be used on this model. Conv-tail heads return
-// false and stay on the per-sample path.
+// false; they are built for the hardware and memory models, never trained.
 func (s *SequentialOf[T]) SupportsBatchTrain(start int) bool {
 	if start < 0 || start >= len(s.Layers) {
 		return false
@@ -82,8 +83,9 @@ func (s *SequentialOf[T]) ForwardBatchTrain(x *tensor.Of[T], start int, ws *tens
 
 // BackwardSGDBatchFrom walks the batched backward from the last layer down to
 // layer start inclusive, folding the SGD update per layer when the optimizer
-// allows it (the FusedLayer contract) and falling back to BackwardBatch +
-// split FusedStepDelta otherwise. It consumes grad: every intermediate
+// allows it and falling back to BackwardBatch + split FusedStepParam
+// otherwise. A nil opt only accumulates the parameter gradients, for callers
+// that read or adjust them before stepping. It consumes grad: every intermediate
 // gradient matrix, including the final input gradient, is returned to ws.
 // Layers below start are never visited — the batched entry points stop at the
 // first trainable layer, so a parameter-free pooling prefix (the GAP-first
@@ -95,7 +97,7 @@ func (s *SequentialOf[T]) ForwardBatchTrain(x *tensor.Of[T], start int, ws *tens
 // No parameter update depends on any of the skipped work, so the equivalence
 // contract — fp64 bit-identity, fp32 tolerance — is untouched.
 func (s *SequentialOf[T]) BackwardSGDBatchFrom(grad *tensor.Of[T], start int, opt *SGDOf[T], invScale T, ws *tensor.WorkspaceOf[T]) {
-	fused := opt.Fused && opt.GradClip == 0
+	fused := opt != nil && opt.Fused && opt.GradClip == 0
 	if s.bwStopKey != start+1 {
 		s.bwStop = start
 		for i := start; i < len(s.Layers); i++ {
@@ -118,8 +120,10 @@ func (s *SequentialOf[T]) BackwardSGDBatchFrom(grad *tensor.Of[T], start int, op
 			g = bl.BackwardSGDBatch(grad, opt, invScale, needInput, ws)
 		} else {
 			g = bl.BackwardBatch(grad, needInput, ws)
-			for _, p := range s.Layers[i].Params() {
-				opt.FusedStepDelta(p, nil, invScale)
+			if opt != nil {
+				for _, p := range s.Layers[i].Params() {
+					opt.FusedStepParam(p, invScale)
+				}
 			}
 		}
 		if g != grad {
@@ -179,18 +183,16 @@ func (d *DenseOf[T]) BackwardBatch(grad *tensor.Of[T], needInput bool, ws *tenso
 }
 
 // BackwardSGDBatch implements TrainBatchLayer, the batched fused fold: the
-// input gradient runs first (one GEMM against the pre-update weights — the
-// same pre-update reads the per-sample fused fold guarantees), the full-batch
-// parameter gradients accumulate next, and one update sweep then steps the
-// weights. Because the batch's entire gradient is already accumulated, the
-// sweep is the fused fold's zero-delta form — scale, decay, momentum, update,
-// zero — the same per-element expression sequence as the split path, so the
-// reference tier stays bit-identical to per-sample training.
+// input gradient runs first (one GEMM against the pre-update weights, as the
+// split path reads them), the full-batch parameter gradients accumulate next,
+// and one update sweep then steps the weights — scale, decay, momentum,
+// update, zero — in the same per-element expression sequence as the split
+// path, so the reference tier stays bit-identical to per-sample training.
 func (d *DenseOf[T]) BackwardSGDBatch(grad *tensor.Of[T], opt *SGDOf[T], invScale T, needInput bool, ws *tensor.WorkspaceOf[T]) *tensor.Of[T] {
 	if opt.GradClip > 0 || !opt.Fused {
 		gx := d.BackwardBatch(grad, needInput, ws)
-		opt.FusedStepDelta(d.w, nil, invScale)
-		opt.FusedStepDelta(d.b, nil, invScale)
+		opt.FusedStepParam(d.w, invScale)
+		opt.FusedStepParam(d.b, invScale)
 		return gx
 	}
 	if d.xB == nil {

@@ -19,11 +19,10 @@ type Conv2DOf[T tensor.Float] struct {
 	col              *tensor.Of[T] // cached im2col matrix (train mode)
 	inH, inW, oh, ow int
 	// gwScratch and dcolScratch are backward-pass work buffers, reused across
-	// steps. gbScratch holds the per-channel bias-gradient row sums on the
-	// fused backward path. They are touched only in Backward, which runs on
-	// the learner's own goroutine; eval-mode Forward stays mutation-free so a
-	// frozen model can serve concurrent extraction workers.
-	gwScratch, dcolScratch, gbScratch *tensor.Of[T]
+	// steps. They are touched only in Backward, which runs on the learner's
+	// own goroutine; eval-mode Forward stays mutation-free so a frozen model
+	// can serve concurrent extraction workers.
+	gwScratch, dcolScratch *tensor.Of[T]
 	// colBuf is the forward im2col scratch and y3/y2 one output buffer viewed
 	// as [outC,OH,OW] and [outC,OH*OW]; gxBuf holds the input gradient. All
 	// are reused on the train path always, and colBuf/y on the eval path once
@@ -128,10 +127,9 @@ func (c *Conv2DOf[T]) Backward(grad *tensor.Of[T]) *tensor.Of[T] {
 	return c.gxBuf
 }
 
-// backwardShared runs the parts of the backward pass common to the split and
-// fused paths: the weight-gradient GEMM into gwScratch and the input gradient
-// into gxBuf (which reads the pre-update weights). It returns the reshaped
-// upstream gradient.
+// backwardShared runs the gradient GEMMs of the backward pass: the weight
+// gradient into gwScratch and the input gradient into gxBuf. It returns the
+// reshaped upstream gradient.
 func (c *Conv2DOf[T]) backwardShared(grad *tensor.Of[T]) *tensor.Of[T] {
 	if c.col == nil {
 		panic("nn: Conv2D.Backward before training Forward")
@@ -153,32 +151,6 @@ func (c *Conv2DOf[T]) backwardShared(grad *tensor.Of[T]) *tensor.Of[T] {
 	}
 	tensor.Col2ImInto(c.gxBuf, c.dcolScratch, c.kh, c.kw, c.stride, c.pad)
 	return g
-}
-
-// BackwardSGD implements FusedLayer: the backward pass followed by an
-// immediate in-place optimizer update, consuming the weight gradient in the
-// same sweep that reads it instead of materialising it into w.Grad and
-// re-traversing. Bit-identical to Backward + Step (see SGDOf.FusedStepDelta).
-func (c *Conv2DOf[T]) BackwardSGD(grad *tensor.Of[T], opt *SGDOf[T], invScale T) *tensor.Of[T] {
-	g := c.backwardShared(grad)
-	// Bias row sums land in scratch so the fused update sees the complete
-	// gradient exactly as the split path's b.Grad accumulation would.
-	if c.gbScratch == nil || c.gbScratch.Len() != c.outC {
-		c.gbScratch = tensor.NewOf[T](c.outC)
-	}
-	ohw := c.oh * c.ow
-	gd := g.Data()
-	gbd := c.gbScratch.Data()
-	for o := 0; o < c.outC; o++ {
-		var s T
-		for _, v := range gd[o*ohw : (o+1)*ohw] {
-			s += v
-		}
-		gbd[o] = s
-	}
-	opt.FusedStepDelta(c.w, c.gwScratch.Data(), invScale)
-	opt.FusedStepDelta(c.b, gbd, invScale)
-	return c.gxBuf
 }
 
 // Params implements Layer.
@@ -248,7 +220,7 @@ func (d *DepthwiseConv2DOf[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T
 }
 
 // backwardShared computes the depthwise gradients into the gx/gw/gb scratch
-// buffers (gx reads the pre-update weights).
+// buffers.
 func (d *DepthwiseConv2DOf[T]) backwardShared(grad *tensor.Of[T]) {
 	if d.x == nil {
 		panic("nn: DepthwiseConv2D.Backward before training Forward")
@@ -268,16 +240,6 @@ func (d *DepthwiseConv2DOf[T]) Backward(grad *tensor.Of[T]) *tensor.Of[T] {
 	d.backwardShared(grad)
 	d.w.Grad.AddInPlace(d.gw)
 	d.b.Grad.AddInPlace(d.gb)
-	return d.gx
-}
-
-// BackwardSGD implements FusedLayer, mirroring Conv2D: gradients are consumed
-// by the optimizer update in one pass instead of accumulating into w.Grad and
-// re-traversing.
-func (d *DepthwiseConv2DOf[T]) BackwardSGD(grad *tensor.Of[T], opt *SGDOf[T], invScale T) *tensor.Of[T] {
-	d.backwardShared(grad)
-	opt.FusedStepDelta(d.w, d.gw.Data(), invScale)
-	opt.FusedStepDelta(d.b, d.gb.Data(), invScale)
 	return d.gx
 }
 

@@ -7,64 +7,68 @@ import (
 	"chameleon/internal/tensor"
 )
 
-// fusedTestNet builds a small model covering every fused kernel: Conv2D and
-// DepthwiseConv2D (FusedStepDelta with a scratch delta), GroupNorm (fallback
-// Backward + FusedStepParam), and Dense (the fully folded row kernel).
+// fusedTestNet builds a small head covering every layer of the batched fused
+// fold: Flatten and ReLU (parameter-free pass-throughs), Dropout (the kept
+// mask must scale the gradient identically on both paths) and two Dense
+// layers (the fully folded update sweep, with and without an input gradient).
 func fusedTestNet(seed int64) *Sequential {
 	rng := rand.New(rand.NewSource(seed))
 	return NewSequential("fused-test",
-		NewConv2D("c1", 2, 4, 3, 1, 1, rng),
-		NewReLU6(),
-		NewDepthwiseConv2D("dw", 4, 3, 1, 1, rng),
-		NewGroupNorm2D("gn", 4, 2),
-		NewGlobalAvgPool2D(),
-		NewDense("fc", 4, 3, rng),
+		NewFlatten(),
+		NewDense("fc1", 6, 8, rng),
+		NewReLU(),
+		NewDropout(0.25, seed+1),
+		NewDense("fc2", 8, 3, rng),
 	)
 }
 
-// fusedTestInputs returns a deterministic two-sample batch.
-func fusedTestInputs[T tensor.Float]() (xs []*tensor.Of[T], labels []int) {
-	rng := rand.New(rand.NewSource(99))
-	for s := 0; s < 2; s++ {
-		x := tensor.NewOf[T](2, 6, 6)
-		for i := range x.Data() {
-			x.Data()[i] = T(rng.NormFloat64())
-		}
-		xs = append(xs, x)
-		labels = append(labels, s%3)
+// widenFusedTestNet is fusedTestNet on the reference tier. WidenLayer refuses
+// stateful Dropout, so the widened chain gets a float64 dropout seeded like
+// the fast-tier one.
+func widenFusedTestNet(t *testing.T, seed int64) *SequentialOf[float64] {
+	t.Helper()
+	net := fusedTestNet(seed)
+	net.Layers[3] = NewDropout(0, 0)
+	w, err := WidenLayer(net)
+	if err != nil {
+		t.Fatalf("WidenLayer: %v", err)
 	}
-	return xs, labels
+	wide := w.(*SequentialOf[float64])
+	wide.Layers[3] = &DropoutOf[float64]{P: 0.25, rng: rand.New(rand.NewSource(seed + 1))}
+	return wide
 }
 
-// runTrainSteps drives `steps` two-sample cross-entropy steps, either through
-// the split Backward + Scale + StepParam + ZeroGrad sequence or the fused
-// BackwardSGD path, mirroring exactly what cl.Head.TrainCEOn does.
-func runTrainSteps[T tensor.Float](t *testing.T, net *SequentialOf[T], opt *SGDOf[T], fused bool, steps int) {
+// fusedTestInputs returns a deterministic four-sample batch as packed [N, 6]
+// rows with their cross-entropy loss rows.
+func fusedTestInputs[T tensor.Float]() (x []T, rows []LossRowOf[T]) {
+	rng := rand.New(rand.NewSource(99))
+	for s := 0; s < 4; s++ {
+		for i := 0; i < 6; i++ {
+			x = append(x, T(rng.NormFloat64()))
+		}
+		rows = append(rows, LossRowOf[T]{Kind: LossCE, Label: s % 3, Weight: 1})
+	}
+	return x, rows
+}
+
+// runTrainSteps drives `steps` batched cross-entropy steps through
+// ForwardBatchTrain → LossRowsInto → BackwardSGDBatchFrom, the walk every
+// head trains through; opt.Fused selects the folded update or the split
+// Scale + StepParam + ZeroGrad sequence.
+func runTrainSteps[T tensor.Float](t *testing.T, net *SequentialOf[T], opt *SGDOf[T], steps int) {
 	t.Helper()
 	ws := tensor.NewWorkspaceOf[T]()
 	AttachWorkspaceOf(net, ws)
 	opt.SetWorkspace(ws)
-	xs, labels := fusedTestInputs[T]()
-	grad := tensor.NewOf[T](3)
-	inv := T(1) / T(len(xs))
+	data, rows := fusedTestInputs[T]()
+	inv := T(1) / T(len(rows))
 	for s := 0; s < steps; s++ {
 		ZeroGradsOf[T](net)
-		for j, x := range xs {
-			y := net.Forward(x, true)
-			CrossEntropyInto(y, labels[j], grad)
-			if fused && j == len(xs)-1 {
-				net.BackwardSGD(grad, opt, inv)
-			} else {
-				net.Backward(grad)
-			}
-		}
-		if !fused {
-			for _, p := range net.Params() {
-				p.Grad.Scale(inv)
-				opt.StepParam(p)
-				p.ZeroGrad()
-			}
-		}
+		x := ws.Get(len(rows), 6)
+		copy(x.Data(), data)
+		logits := net.ForwardBatchTrain(x, 0, ws)
+		LossRowsInto(logits, rows, logits, ws)
+		net.BackwardSGDBatchFrom(logits, 0, opt, inv, ws)
 	}
 }
 
@@ -86,9 +90,10 @@ func requireParamsEqual[T tensor.Float](t *testing.T, split, fused *SequentialOf
 	}
 }
 
-// TestFusedStepBitIdentityF32 checks that the fused backward+update path
-// produces bit-identical weights to the split path on the fast tier, across
-// optimizer configurations that exercise every branch of the fused kernel.
+// TestFusedStepBitIdentityF32 checks that the batched fused backward+update
+// fold produces bit-identical weights to the split path on the fast tier,
+// across optimizer configurations that exercise every branch of the fused
+// kernel.
 func TestFusedStepBitIdentityF32(t *testing.T) {
 	for _, cfg := range []struct {
 		name            string
@@ -100,14 +105,15 @@ func TestFusedStepBitIdentityF32(t *testing.T) {
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			split, fusedNet := fusedTestNet(7), fusedTestNet(7)
-			mkOpt := func() *SGD {
+			mkOpt := func(fused bool) *SGD {
 				o := NewSGD(0.05)
 				o.Momentum = cfg.momentum
 				o.WeightDecay = cfg.decay
+				o.Fused = fused
 				return o
 			}
-			runTrainSteps(t, split, mkOpt(), false, 5)
-			runTrainSteps(t, fusedNet, mkOpt(), true, 5)
+			runTrainSteps(t, split, mkOpt(false), 5)
+			runTrainSteps(t, fusedNet, mkOpt(true), 5)
 			requireParamsEqual(t, split, fusedNet)
 		})
 	}
@@ -117,38 +123,33 @@ func TestFusedStepBitIdentityF32(t *testing.T) {
 // the nets built by widening identically seeded fast-tier models (which also
 // exercises WidenLayer).
 func TestFusedStepBitIdentityF64(t *testing.T) {
-	widen := func() *SequentialOf[float64] {
-		w, err := WidenLayer(fusedTestNet(7))
-		if err != nil {
-			t.Fatalf("WidenLayer: %v", err)
-		}
-		return w.(*SequentialOf[float64])
-	}
-	split, fusedNet := widen(), widen()
-	mkOpt := func() *SGDOf[float64] {
+	split, fusedNet := widenFusedTestNet(t, 7), widenFusedTestNet(t, 7)
+	mkOpt := func(fused bool) *SGDOf[float64] {
 		o := NewSGDOf[float64](0.05)
 		o.Momentum = 0.9
 		o.WeightDecay = 1e-4
+		o.Fused = fused
 		return o
 	}
-	runTrainSteps(t, split, mkOpt(), false, 5)
-	runTrainSteps(t, fusedNet, mkOpt(), true, 5)
+	runTrainSteps(t, split, mkOpt(false), 5)
+	runTrainSteps(t, fusedNet, mkOpt(true), 5)
 	requireParamsEqual(t, split, fusedNet)
 }
 
-// TestFusedGradClipFallback checks that a clipping optimizer routed through
-// the fused entry points still matches the split path (the kernels must fall
-// back — clipping needs a global norm).
+// TestFusedGradClipFallback checks that a clipping optimizer with Fused set
+// still matches the split path (the batched walk must fall back — clipping
+// needs a global norm).
 func TestFusedGradClipFallback(t *testing.T) {
 	split, fusedNet := fusedTestNet(3), fusedTestNet(3)
-	mkOpt := func() *SGD {
+	mkOpt := func(fused bool) *SGD {
 		o := NewSGD(0.5) // large LR so clipping actually triggers
 		o.Momentum = 0.9
 		o.GradClip = 1e-3
+		o.Fused = fused
 		return o
 	}
-	runTrainSteps(t, split, mkOpt(), false, 4)
-	runTrainSteps(t, fusedNet, mkOpt(), true, 4)
+	runTrainSteps(t, split, mkOpt(false), 4)
+	runTrainSteps(t, fusedNet, mkOpt(true), 4)
 	requireParamsEqual(t, split, fusedNet)
 }
 
@@ -159,8 +160,9 @@ func benchStepNet(seed int64) *Sequential {
 	return NewSequential("bench", NewDense("fc", 256, 100, rng))
 }
 
-// BenchmarkFusedVsSplitStep measures one single-sample cross-entropy train
-// step (forward + backward + SGD update) through the split and fused paths.
+// BenchmarkFusedVsSplitStep measures one batched cross-entropy train step
+// (forward + backward + SGD update over 10 samples) through the split and
+// fused update paths.
 func BenchmarkFusedVsSplitStep(b *testing.B) {
 	for _, fused := range []bool{false, true} {
 		name := "split"
@@ -173,28 +175,26 @@ func BenchmarkFusedVsSplitStep(b *testing.B) {
 			AttachWorkspace(net, ws)
 			opt := NewSGD(0.01)
 			opt.Momentum = 0.9
+			opt.Fused = fused
 			opt.SetWorkspace(ws)
-			x := tensor.New(256)
+			const n = 10
 			rng := rand.New(rand.NewSource(2))
-			for i := range x.Data() {
-				x.Data()[i] = float32(rng.NormFloat64())
+			data := make([]float32, n*256)
+			for i := range data {
+				data[i] = float32(rng.NormFloat64())
 			}
-			grad := tensor.New(100)
-			params := net.Params()
+			rows := make([]LossRow, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				y := net.Forward(x, true)
-				CrossEntropyInto(y, i%100, grad)
-				if fused {
-					net.BackwardSGD(grad, opt, 1)
-				} else {
-					net.Backward(grad)
-					for _, p := range params {
-						opt.StepParam(p)
-						p.ZeroGrad()
-					}
+				for r := range rows {
+					rows[r] = LossRow{Kind: LossCE, Label: (i + r) % 100, Weight: 1}
 				}
+				x := ws.Get(n, 256)
+				copy(x.Data(), data)
+				logits := net.ForwardBatchTrain(x, 0, ws)
+				LossRowsInto(logits, rows, logits, ws)
+				net.BackwardSGDBatchFrom(logits, 0, opt, 1.0/n, ws)
 			}
 		})
 	}

@@ -30,54 +30,117 @@ func CrossEntropyInto[T tensor.Float](logits *tensor.Of[T], label int, grad *ten
 	if grad.Len() != logits.Len() {
 		panic(fmt.Sprintf("nn: CrossEntropyInto grad size %d, want %d", grad.Len(), logits.Len()))
 	}
-	// The log-softmax lands directly in grad, which then exponentiates in
-	// place — the whole loss is alloc-free for the caller's reused scratch.
-	tensor.LogSoftmaxInto(grad, logits)
-	gd := grad.Data()
-	loss = -float64(gd[label])
-	for i, v := range gd {
-		gd[i] = T(math.Exp(float64(v)))
+	return crossEntropyRow(logits.Data(), label, grad.Data())
+}
+
+// crossEntropyRow is the cross-entropy kernel over one row: the log-softmax
+// lands directly in grad, which then exponentiates in place (softmax −
+// onehot). grad may alias logits.
+func crossEntropyRow[T tensor.Float](logits []T, label int, grad []T) float64 {
+	tensor.LogSoftmaxRow(grad, logits)
+	loss := -float64(grad[label])
+	for i, v := range grad {
+		grad[i] = T(math.Exp(float64(v)))
 	}
-	gd[label] -= 1
+	grad[label] -= 1
 	return loss
 }
 
-// CrossEntropyRowsInto is CrossEntropyInto over a [N, C] logit matrix: row r
-// is scored against labels[r], the per-row gradients (softmax − onehot) land
-// in the matching rows of grad, and the returned loss is the sum over rows.
-// grad must have logits' element count; grad == logits is allowed (the
-// batched training path reuses the logit matrix as its gradient buffer). The
-// per-row math is the 1-D kernel's exactly — same log-softmax, same exp —
-// and the loss sum accumulates in ascending row order, so the result is
-// bit-identical to N per-sample CrossEntropyInto calls summed in stream
-// order.
-func CrossEntropyRowsInto[T tensor.Float](logits *tensor.Of[T], labels []int, grad *tensor.Of[T]) (loss float64) {
+// LossKind selects the loss that scores one row of a batched step.
+type LossKind uint8
+
+const (
+	// LossCE is cross-entropy against the row's Label (CrossEntropyInto).
+	LossCE LossKind = iota
+	// LossSoft is distillation against the Target teacher logits at
+	// Temperature (SoftCrossEntropyInto).
+	LossSoft
+	// LossMSE is the logit-consistency loss against the Target logits
+	// (MSELogitsInto).
+	LossMSE
+)
+
+// LossRowOf is one row of a batched loss: the loss that scores it, its target
+// and its weight. CE and MSE rows scale their gradient and loss by Weight;
+// soft rows scale by Weight·Temperature² (Hinton scaling, so soft and hard
+// gradients stay commensurate as T grows).
+type LossRowOf[T tensor.Float] struct {
+	Kind LossKind
+	// Label is the LossCE class.
+	Label int
+	// Target is the LossSoft teacher logits or the LossMSE target logits,
+	// one value per class.
+	Target []T
+	// Temperature is the LossSoft softening temperature (≤ 0 means 1 for
+	// the softening; the T² scale uses the value as given).
+	Temperature float64
+	Weight      float64
+}
+
+// LossRow is the fast-tier loss row.
+type LossRow = LossRowOf[float32]
+
+// LossRowsInto is the row-wise loss stage of batched training: row r of the
+// [N, C] logit matrix is scored by rows[r], its weighted gradient lands in
+// the matching row of grad, and the returned loss is the weighted sum over
+// rows in ascending row order. grad == logits is allowed (the batched
+// training path reuses the logit matrix as its gradient buffer). Each row
+// runs its 1-D kernel's exact expression sequence followed by the weight
+// scale, so a batched step scores every row bit-identically to the
+// per-sample loop it replaces. ws lends the soft rows' teacher-distribution
+// scratch (a nil ws allocates it).
+func LossRowsInto[T tensor.Float](logits *tensor.Of[T], rows []LossRowOf[T], grad *tensor.Of[T], ws *tensor.WorkspaceOf[T]) (loss float64) {
 	if logits.NDim() != 2 {
-		panic(fmt.Sprintf("nn: CrossEntropyRows expects 2-D logits, got %v", logits.Shape()))
+		panic(fmt.Sprintf("nn: LossRowsInto expects 2-D logits, got %v", logits.Shape()))
 	}
 	n, c := logits.Dim(0), logits.Dim(1)
-	if len(labels) != n {
-		panic(fmt.Sprintf("nn: CrossEntropyRows got %d labels for %d rows", len(labels), n))
+	if len(rows) != n {
+		panic(fmt.Sprintf("nn: LossRowsInto got %d loss rows for %d logit rows", len(rows), n))
 	}
 	if grad.Len() != logits.Len() {
-		panic(fmt.Sprintf("nn: CrossEntropyRowsInto grad size %d, want %d", grad.Len(), logits.Len()))
+		panic(fmt.Sprintf("nn: LossRowsInto grad size %d, want %d", grad.Len(), logits.Len()))
 	}
-	for r, label := range labels {
-		if label < 0 || label >= c {
-			panic(fmt.Sprintf("nn: label %d out of range for %d classes (row %d)", label, c, r))
+	var scratch *tensor.Of[T]
+	ld, gd := logits.Data(), grad.Data()
+	for r, row := range rows {
+		lr, gr := ld[r*c:(r+1)*c], gd[r*c:(r+1)*c]
+		scale := row.Weight
+		var l float64
+		switch row.Kind {
+		case LossCE:
+			if row.Label < 0 || row.Label >= c {
+				panic(fmt.Sprintf("nn: label %d out of range for %d classes (row %d)", row.Label, c, r))
+			}
+			l = crossEntropyRow(lr, row.Label, gr)
+		case LossSoft:
+			checkTarget(row.Target, c, r)
+			if scratch == nil {
+				scratch = ws.Get(c)
+			}
+			l = softCrossEntropyRow(lr, row.Target, row.Temperature, gr, scratch.Data())
+			scale = row.Weight * row.Temperature * row.Temperature
+		case LossMSE:
+			checkTarget(row.Target, c, r)
+			l = mseRow(lr, row.Target, gr)
+		default:
+			panic(fmt.Sprintf("nn: unknown loss kind %d (row %d)", row.Kind, r))
 		}
-	}
-	tensor.LogSoftmaxInto(grad, logits)
-	gd := grad.Data()
-	for r, label := range labels {
-		row := gd[r*c : (r+1)*c]
-		loss -= float64(row[label])
-		for i, v := range row {
-			row[i] = T(math.Exp(float64(v)))
+		if scale != 1 {
+			s := T(scale)
+			for i := range gr {
+				gr[i] *= s
+			}
 		}
-		row[label] -= 1
+		loss += l * scale
 	}
+	ws.Put(scratch)
 	return loss
+}
+
+func checkTarget[T tensor.Float](target []T, c, r int) {
+	if len(target) != c {
+		panic(fmt.Sprintf("nn: loss row %d target has %d values for %d classes", r, len(target), c))
+	}
 }
 
 // SoftCrossEntropy is the knowledge-distillation loss: the cross-entropy of
@@ -104,21 +167,25 @@ func SoftCrossEntropyInto[T tensor.Float](student, teacher *tensor.Of[T], temper
 	if grad.Len() != n || scratch.Len() != n {
 		panic(fmt.Sprintf("nn: SoftCrossEntropyInto grad size %d, scratch size %d, want %d", grad.Len(), scratch.Len(), n))
 	}
+	return softCrossEntropyRow(student.Data(), teacher.Data(), temperature, grad.Data(), scratch.Data())
+}
+
+// softCrossEntropyRow is the distillation kernel over one row; p receives
+// the softened teacher distribution and grad may alias student.
+func softCrossEntropyRow[T tensor.Float](student, teacher []T, temperature float64, grad, p []T) (loss float64) {
 	if temperature <= 0 {
 		temperature = 1
 	}
 	invT := T(1 / temperature)
-	gd, pd := grad.Data(), scratch.Data()
-	for i := 0; i < n; i++ {
-		gd[i] = student.Data()[i] * invT
-		pd[i] = teacher.Data()[i] * invT
+	for i := range student {
+		grad[i] = student[i] * invT
+		p[i] = teacher[i] * invT
 	}
-	tensor.LogSoftmaxInto(grad, grad) // gd = logQ
-	tensor.SoftmaxInto(scratch, scratch)
-	for i := 0; i < n; i++ {
-		logQ := gd[i]
-		loss -= float64(pd[i]) * float64(logQ)
-		gd[i] = (T(math.Exp(float64(logQ))) - pd[i]) * invT
+	tensor.LogSoftmaxRow(grad, grad) // grad = logQ
+	tensor.SoftmaxRow(p, p)
+	for i, logQ := range grad {
+		loss -= float64(p[i]) * float64(logQ)
+		grad[i] = (T(math.Exp(float64(logQ))) - p[i]) * invT
 	}
 	return loss
 }
@@ -137,15 +204,19 @@ func MSELogitsInto[T tensor.Float](logits, target, grad *tensor.Of[T]) (loss flo
 	if logits.Len() != target.Len() {
 		panic(fmt.Sprintf("nn: MSELogits size mismatch %v vs %v", logits.Shape(), target.Shape()))
 	}
-	n := logits.Len()
-	if grad.Len() != n {
-		panic(fmt.Sprintf("nn: MSELogitsInto grad size %d, want %d", grad.Len(), n))
+	if grad.Len() != logits.Len() {
+		panic(fmt.Sprintf("nn: MSELogitsInto grad size %d, want %d", grad.Len(), logits.Len()))
 	}
-	gd := grad.Data()
-	for i := 0; i < n; i++ {
-		d := logits.Data()[i] - target.Data()[i]
+	return mseRow(logits.Data(), target.Data(), grad.Data())
+}
+
+// mseRow is the logit-consistency kernel over one row; grad may alias logits.
+func mseRow[T tensor.Float](logits, target, grad []T) (loss float64) {
+	n := len(logits)
+	for i, v := range logits {
+		d := v - target[i]
 		loss += float64(d) * float64(d)
-		gd[i] = 2 * d / T(n)
+		grad[i] = 2 * d / T(n)
 	}
 	return loss / float64(n)
 }

@@ -18,11 +18,12 @@ type SGDOf[T tensor.Float] struct {
 	// can be studied.
 	GradClip float64
 	// Fused opts the optimizer into the single-pass fused update kernels
-	// (FusedStepParam / layer BackwardSGD): scale, weight decay, momentum,
-	// weight update and gradient zeroing happen in one sweep per parameter,
-	// bit-identical to the split Scale+StepParam+ZeroGrad sequence. NewSGD
-	// enables it; zero-value SGD literals keep the split path. GradClip > 0
-	// always falls back to the split path (clipping needs a global norm).
+	// (FusedStepParam / layer BackwardSGDBatch): scale, weight decay,
+	// momentum, weight update and gradient zeroing happen in one sweep per
+	// parameter, bit-identical to the split Scale+StepParam+ZeroGrad
+	// sequence. NewSGD enables it; zero-value SGD literals keep the split
+	// path. GradClip > 0 always falls back to the split path (clipping needs
+	// a global norm).
 	Fused bool
 
 	velocity map[*ParamOf[T]]*tensor.Of[T]
@@ -99,6 +100,53 @@ func (s *SGDOf[T]) StepParam(p *ParamOf[T]) {
 	}
 	p.Data.AddScaled(T(-s.LR), g)
 	s.ws.Put(scratch)
+}
+
+// FusedStepParam is the single-pass update kernel for one parameter: in one
+// sweep over the weights it scales the accumulated gradient by invScale,
+// folds in weight decay, advances momentum, applies the learning-rate update
+// and zeroes the gradient for the next accumulation. Bit-identical to
+// Grad.Scale(invScale) + StepParam(p) + Grad.Zero() — per element the same FP
+// expressions in the same order, without the extra memory round-trips
+// through the gradient tensor. GradClip > 0 (or Fused unset) runs that split
+// sequence instead: clipping needs the full gradient's global norm before any
+// element updates.
+func (s *SGDOf[T]) FusedStepParam(p *ParamOf[T], invScale T) {
+	gd := p.Grad.Data()
+	if s.GradClip > 0 || !s.Fused {
+		if invScale != 1 {
+			p.Grad.Scale(invScale)
+		}
+		s.StepParam(p)
+		p.Grad.Zero()
+		return
+	}
+	w := p.Data.Data()
+	wdec := T(s.WeightDecay)
+	m := T(s.Momentum)
+	lrNeg := T(-s.LR)
+	var vd []T
+	if s.Momentum != 0 {
+		vd = s.velocityFor(p).Data()
+	}
+	for i := range w {
+		g := gd[i]
+		if invScale != 1 {
+			g *= invScale
+		}
+		if wdec != 0 {
+			g += wdec * w[i]
+		}
+		if vd != nil {
+			v := vd[i]
+			v *= m
+			v += g
+			vd[i] = v
+			g = v
+		}
+		w[i] += lrNeg * g
+		gd[i] = 0
+	}
 }
 
 // VelocitySnapshot deep-copies the momentum state aligned with model.Params()

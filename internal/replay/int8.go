@@ -111,9 +111,12 @@ func (c *Int8Codec) DecodeAlloc(it Item) Item {
 	return it
 }
 
-// decodeInto rewrites items in place, decoding each into its own slot.
-func (c *Int8Codec) decodeInto(items []Item) {
-	for i := range items {
+// decodeInto rewrites items[from:] in place, decoding each into the slot
+// numbered by its position in items. A draw appended to an earlier one in the
+// same slice therefore never overwrites the earlier draw's latents: both stay
+// valid until the store's next draw into position 0.
+func (c *Int8Codec) decodeInto(items []Item, from int) {
+	for i := from; i < len(items); i++ {
 		items[i] = c.Decode(items[i], i)
 	}
 }

@@ -309,3 +309,58 @@ func TestAllocsQuantizedClassBalancedSteadyState(t *testing.T) {
 		t.Fatalf("quantized insert+sample allocates %.1f times/op, want 0", got)
 	}
 }
+
+// TestQuantizedAppendedDrawsKeepTheirLatents pins the decode-slot contract for
+// draws appended to a non-empty slice: a second SampleInto must decode into
+// slots after the first draw's, so both draws stay live together (DER keeps
+// two draws for one training step). Every drawn latent must equal DecodeAlloc
+// of its stored record, and no two positions may share a scratch tensor.
+func TestQuantizedAppendedDrawsKeepTheirLatents(t *testing.T) {
+	src := rand.New(rand.NewSource(13))
+	r := NewReservoir(8, rand.New(rand.NewSource(2)))
+	b := NewClassBalanced(8, rand.New(rand.NewSource(3)))
+	for _, enable := range []func() error{r.EnableInt8, b.EnableInt8} {
+		if err := enable(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One item per label, so a drawn item names its record.
+	for label := 0; label < 8; label++ {
+		it := zItem(src, label, 10)
+		r.Offer(it)
+		b.Insert(it)
+	}
+	recs, _ := r.State()
+	for _, store := range []struct {
+		name    string
+		records []Item
+		sample  func([]Item, int) []Item
+	}{
+		{"reservoir", recs, r.SampleInto},
+		{"class-balanced", b.Export(), b.SampleInto},
+	} {
+		byLabel := map[int]Item{}
+		for _, rec := range store.records {
+			byLabel[rec.Label] = rec
+		}
+		dst := store.sample(nil, 3)
+		dst = store.sample(dst, 3)
+		if len(dst) != 6 {
+			t.Fatalf("%s: two draws of 3 returned %d items", store.name, len(dst))
+		}
+		seen := map[*tensor.Tensor]int{}
+		for i, it := range dst {
+			if j, dup := seen[it.Z]; dup {
+				t.Fatalf("%s: positions %d and %d share one decoded tensor", store.name, j, i)
+			}
+			seen[it.Z] = i
+			want := NewInt8Codec().DecodeAlloc(byLabel[it.Label]).Z.Data()
+			for k, v := range it.Z.Data() {
+				if math.Float32bits(v) != math.Float32bits(want[k]) {
+					t.Fatalf("%s: position %d (label %d) element %d decoded %v, record decodes to %v",
+						store.name, i, it.Label, k, v, want[k])
+				}
+			}
+		}
+	}
+}

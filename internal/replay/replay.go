@@ -109,7 +109,7 @@ func (r *Reservoir) Offer(it Item) bool {
 func (r *Reservoir) Sample(n int) []Item {
 	out := sampleWithout(r.items, n, r.rng)
 	if r.codec != nil {
-		r.codec.decodeInto(out)
+		r.codec.decodeInto(out, 0)
 	}
 	samplesDrawn.Add(int64(len(out)))
 	return out
@@ -124,7 +124,7 @@ func (r *Reservoir) SampleInto(dst []Item, n int) []Item {
 	before := len(dst)
 	dst, r.idxBuf = sampleWithoutInto(dst, r.idxBuf, r.items, n, r.rng)
 	if r.codec != nil {
-		r.codec.decodeInto(dst[before:])
+		r.codec.decodeInto(dst, before)
 	}
 	samplesDrawn.Add(int64(len(dst) - before))
 	return dst
@@ -440,7 +440,7 @@ func (b *ClassBalanced) Sample(n int) []Item {
 	}
 	out := sampleWithout(all, n, b.rng)
 	if b.codec != nil {
-		b.codec.decodeInto(out)
+		b.codec.decodeInto(out, 0)
 	}
 	samplesDrawn.Add(int64(len(out)))
 	return out
@@ -460,7 +460,7 @@ func (b *ClassBalanced) SampleInto(dst []Item, n int) []Item {
 	before := len(dst)
 	dst, b.idxBuf = sampleWithoutInto(dst, b.idxBuf, pool, n, b.rng)
 	if b.codec != nil {
-		b.codec.decodeInto(dst[before:])
+		b.codec.decodeInto(dst, before)
 	}
 	samplesDrawn.Add(int64(len(dst) - before))
 	return dst

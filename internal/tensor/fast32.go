@@ -46,89 +46,16 @@ func matvec32(dst, a, x []float32, k, lo, hi int) {
 	}
 }
 
-// FusedDenseRow32 is the fast-tier row kernel of the fused dense
-// backward+SGD fold: for one output row with gradient g it accumulates the
-// input gradient gx[i] += g*w[i] (against the pre-update weights), folds the
-// last sample's outer-product term into the accumulated weight gradient,
-// applies inverse-batch scaling, weight decay and momentum, steps the weights
-// and re-zeroes the gradient — one pass over five streams. The loop-invariant
-// conditions (momentum on/off, invScale, weight decay) are hoisted into
-// specialised loops; each variant executes exactly the per-element operation
-// sequence of the generic fold in internal/nn, so the fast tier stays
-// bit-identical to it (amd64 does not contract a*b+c into FMA, so regrouped
-// expressions are bitwise safe). v may be nil (no momentum).
-func FusedDenseRow32(gx, w, gw, v, x []float32, g, invScale, wdec, m, lrNeg float32) {
-	n := len(x)
-	gx, w, gw = gx[:n], w[:n], gw[:n]
-	if wdec == 0 && v == nil {
-		if invScale != 1 {
-			for i, xv := range x {
-				wv := w[i]
-				gx[i] += g * wv
-				ge := (gw[i] + g*xv) * invScale
-				w[i] = wv + lrNeg*ge
-				gw[i] = 0
-			}
-		} else {
-			for i, xv := range x {
-				wv := w[i]
-				gx[i] += g * wv
-				ge := gw[i] + g*xv
-				w[i] = wv + lrNeg*ge
-				gw[i] = 0
-			}
-		}
-		return
-	}
-	if wdec == 0 && v != nil {
-		v = v[:n]
-		if invScale != 1 {
-			for i, xv := range x {
-				wv := w[i]
-				gx[i] += g * wv
-				ge := (gw[i] + g*xv) * invScale
-				vv := v[i]*m + ge
-				v[i] = vv
-				w[i] = wv + lrNeg*vv
-				gw[i] = 0
-			}
-		} else {
-			for i, xv := range x {
-				wv := w[i]
-				gx[i] += g * wv
-				ge := gw[i] + g*xv
-				vv := v[i]*m + ge
-				v[i] = vv
-				w[i] = wv + lrNeg*vv
-				gw[i] = 0
-			}
-		}
-		return
-	}
-	// Weight decay configured: rare for the online head, keep one general
-	// loop with the same expression sequence as the generic fold.
-	for i, xv := range x {
-		wv := w[i]
-		gx[i] += g * wv
-		ge := gw[i] + g*xv
-		if invScale != 1 {
-			ge *= invScale
-		}
-		ge += wdec * wv
-		if v != nil {
-			vv := v[i]*m + ge
-			v[i] = vv
-			ge = vv
-		}
-		w[i] = wv + lrNeg*ge
-		gw[i] = 0
-	}
-}
-
-// FusedUpdateRow32 is FusedDenseRow32 for a row whose output gradient is
-// zero: the outer-product and input-gradient terms vanish, but the
-// accumulated gradient still steps the weights (earlier samples contributed
-// to it) and momentum still decays.
+// FusedUpdateRow32 is the fast-tier row kernel of the batched fused SGD
+// fold: for one weight row whose full-batch gradient gw is already
+// accumulated it applies inverse-batch scaling, weight decay and momentum,
+// steps the weights and re-zeroes the gradient in one pass. The
+// loop-invariant conditions (momentum on/off, invScale, weight decay) are
+// hoisted into specialised loops; each variant executes exactly the
+// per-element operation sequence of the generic fold in internal/nn, so the
+// fast tier stays bit-identical to it (amd64 does not contract a*b+c into
+// FMA, so regrouped expressions are bitwise safe). v may be nil (no
+// momentum).
 func FusedUpdateRow32(w, gw, v []float32, invScale, wdec, m, lrNeg float32) {
 	n := len(w)
 	gw = gw[:n]

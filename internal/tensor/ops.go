@@ -161,18 +161,20 @@ func SoftmaxInto[T Float](dst, t *Of[T]) {
 	}
 	switch len(t.shape) {
 	case 1:
-		softmaxRow(dst.data, t.data)
+		SoftmaxRow(dst.data, t.data)
 	case 2:
 		c := t.shape[1]
 		for i := 0; i < t.shape[0]; i++ {
-			softmaxRow(dst.data[i*c:(i+1)*c], t.data[i*c:(i+1)*c])
+			SoftmaxRow(dst.data[i*c:(i+1)*c], t.data[i*c:(i+1)*c])
 		}
 	default:
 		panic(fmt.Sprintf("tensor: SoftmaxInto on shape %v", t.shape))
 	}
 }
 
-func softmaxRow[T Float](dst, src []T) {
+// SoftmaxRow is SoftmaxInto over one row held in plain slices; dst and src
+// may be the same slice.
+func SoftmaxRow[T Float](dst, src []T) {
 	mx := T(math.Inf(-1))
 	for _, v := range src {
 		if v > mx {
@@ -208,18 +210,20 @@ func LogSoftmaxInto[T Float](dst, t *Of[T]) {
 	}
 	switch len(t.shape) {
 	case 1:
-		logSoftmaxRow(dst.data, t.data)
+		LogSoftmaxRow(dst.data, t.data)
 	case 2:
 		c := t.shape[1]
 		for i := 0; i < t.shape[0]; i++ {
-			logSoftmaxRow(dst.data[i*c:(i+1)*c], t.data[i*c:(i+1)*c])
+			LogSoftmaxRow(dst.data[i*c:(i+1)*c], t.data[i*c:(i+1)*c])
 		}
 	default:
 		panic(fmt.Sprintf("tensor: LogSoftmaxInto on shape %v", t.shape))
 	}
 }
 
-func logSoftmaxRow[T Float](dst, src []T) {
+// LogSoftmaxRow is LogSoftmaxInto over one row held in plain slices; dst and
+// src may be the same slice.
+func LogSoftmaxRow[T Float](dst, src []T) {
 	mx := T(math.Inf(-1))
 	for _, v := range src {
 		if v > mx {

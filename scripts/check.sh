@@ -33,11 +33,13 @@ echo '>> go test -run TestAllocs -count=1 ./... (allocation gate, no race)'
 go test -run TestAllocs -count=1 ./...
 # Precision-tier gate: one named pass over the fp32/fp64 contract — the
 # float64 kernel suite behind the Ref64 measuring stick, bit-identity of the
-# fused fold at both element widths, the dtype-tagged checkpoint wire format,
-# and the fp32-vs-fp64 finetune accuracy parity (full streams).
-echo '>> go test -run "Test.*64|TestGobDtype|TestFusedStepBitIdentity|TestPrecisionParity" -count=1 ./internal/tensor/ ./internal/nn/ ./internal/exp/ (precision-tier gate)'
-go test -run 'Test.*64|TestGobDtype|TestFusedStepBitIdentity|TestPrecisionParity' -count=1 \
-	./internal/tensor/ ./internal/nn/ ./internal/exp/
+# batched fused fold at both element widths, fp64 bit-identity of the
+# row-wise loss stage (DER- and LwF-shaped steps against the per-sample
+# loop), the dtype-tagged checkpoint wire format, and the fp32-vs-fp64
+# finetune accuracy parity (full streams).
+echo '>> go test -run "Test.*64|TestRowLoss|TestGobDtype|TestFusedStepBitIdentity|TestPrecisionParity" -count=1 ./internal/tensor/ ./internal/nn/ ./internal/cl/ ./internal/exp/ (precision-tier gate)'
+go test -run 'Test.*64|TestRowLoss|TestGobDtype|TestFusedStepBitIdentity|TestPrecisionParity' -count=1 \
+	./internal/tensor/ ./internal/nn/ ./internal/cl/ ./internal/exp/
 # Quantized-replay gate: one named pass over the int8 store contract — the
 # symmetric quantizer round-trips, quantize-on-insert/dequantize-on-rehearsal
 # in every store (core + baselines), bit-exact dtype-tagged checkpoints with
@@ -48,14 +50,21 @@ go test -run 'TestQuantized|TestAllocsQuantized|TestInt8|TestDequantize' -count=
 	./internal/quant/ ./internal/replay/ ./internal/core/ ./internal/baselines/ ./internal/serve/ ./internal/exp/
 # ns/op regression gate: the fp32 fused train step must hold its lead over
 # the fp64 reference step (≥1.5×), stay within 5% of the split step, and run
-# allocation-free. Ratios are within-run (interleaved min-of-N), so the gate
-# is machine-independent; the JSON lands in a scratch dir — the published
-# BENCH_pr9.json comes from `make bench-json`, not from here.
+# allocation-free; the batched training core must hold ≥1.5× over the same
+# step done one sample at a time. Each ratio is the median of per-round
+# within-run ratios over interleaved rounds, so the gate is
+# machine-independent; the JSON lands in a scratch dir — the published
+# BENCH_pr*.json comes from `make bench-json`, not from here.
 gatedir=$(mktemp -d)
 trap 'rm -rf "$gatedir"' EXIT
 echo '>> go run ./cmd/benchjson -quick -check (ns/op regression gate)'
 # (the serve smoke below replaces this trap; it removes $gatedir too)
 go run ./cmd/benchjson -quick -check -out "$gatedir/bench-gate.json"
+# Benchmark-harness gate: perfbench is a nested module that imports the
+# internal packages, so `go build/test ./...` at the root never compiles it.
+# A root API change that breaks the benchmark harness fails here.
+echo '>> (cd perfbench && go vet ./... && go test ./...) (benchmark-harness gate)'
+(cd perfbench && go vet ./... && go test ./...)
 # Cross-PR perf drift (informational): diff the two published bench exhibits
 # series by series. Absolute ns/op in checked-in files comes from different
 # runs on possibly different machines, so this warns instead of failing —
